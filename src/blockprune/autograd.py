@@ -89,11 +89,6 @@ class Tensor:
         """Value-equal tensor through which no gradient flows."""
         return Tensor(self.data, requires_grad=False)
 
-    def assert_finite(self, what="tensor"):
-        if not np.all(np.isfinite(self.data)):
-            raise NumericError(f"non-finite values in {what}")
-        return self
-
     def item(self):
         return float(self.data)
 

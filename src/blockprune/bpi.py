@@ -17,7 +17,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .data import batch_iter
-from .optim import AdamW
+from .optim import AdamW, train_epoch
 from .vit import VitConfig, _trunc_normal
 
 PATCH_HEAD_KINDS = ("resnet", "pooled-linear")
@@ -138,15 +138,16 @@ def probe_checkpoint(model, masks, train_ds, val_ds, epochs,
     num_blocks with raw, unnormalized values.
     """
     heads = BpiHeads(model.config, patch_head=patch_head, lr=lr, seed=seed)
+
+    def step(x, labels):
+        with ag.no_grad():
+            _, trace = model.forward(x, masks)
+        _, _, loss = heads.step(trace, labels)
+        ag.backward(loss)
+        return loss
+
     for epoch in range(epochs):
-        for images, labels in batch_iter(train_ds, batch_size, seed, epoch):
-            ag.tape.clear()
-            with ag.no_grad():
-                _, trace = model.forward(Tensor(images), masks)
-            _, _, loss = heads.step(trace, labels)
-            ag.backward(loss)
-            heads.optimizer.step()
-            heads.optimizer.zero_grad()
+        train_epoch(batch_iter(train_ds, batch_size, seed, epoch), [heads.optimizer], step)
     b = model.config.num_blocks
     sum_class, sum_patch, total = np.zeros(b), np.zeros(b), 0
     for images, labels in batch_iter(val_ds, batch_size, seed, 0):

@@ -20,8 +20,10 @@ from .config import load_config
 from .data import SyntheticSpec, generate_synthetic, load_idx, normalize_images
 from .errors import BlockPruneError, ConfigError, DataFormatError
 from .schedule import (MetricsWriter, PruneSchedule, PruningRun, evaluate,
-                       train_dense, write_summary)
+                       train_dense, write_csv, write_json)
 from .vit import MaskSet, MaskedVit
+
+PROBE_FIELDS = ["checkpoint", "block_index", "block_type", "bp_class", "bp_patch"]
 
 
 def load_datasets(cfg):
@@ -56,16 +58,14 @@ def write_manifest(out_dir, cfg, command):
             "omp": os.environ.get("OMP_NUM_THREADS", ""),
         },
     }
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "manifest.json", manifest)
 
 
 def finish_summary(out_dir, summary):
     summary = dict(summary)
     summary["finished"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     summary["files"] = sorted(p.name for p in out_dir.iterdir() if p.is_file())
-    write_summary(out_dir / "summary.json", summary)
+    write_json(out_dir / "summary.json", summary)
 
 
 def cmd_train(cfg):
@@ -78,10 +78,12 @@ def cmd_train(cfg):
     def save_periodic(epoch, model_, masks_):
         save_masked(out_dir / f"checkpoint-epoch{epoch + 1:04d}.ckpt", model_, masks_)
 
-    masks, acc = train_dense(model, train_ds, val_ds, cfg,
-                             epochs=cfg.schedule.epochs_dense, metrics=metrics,
-                             checkpoint_fn=save_periodic)
-    metrics.flush()
+    try:
+        masks, acc = train_dense(model, train_ds, val_ds, cfg,
+                                 epochs=cfg.schedule.epochs_dense, metrics=metrics,
+                                 checkpoint_fn=save_periodic)
+    finally:
+        metrics.flush()
     save_masked(out_dir / "checkpoint-final.ckpt", model, masks)
     finish_summary(out_dir, {"val_acc_final": acc, "epochs": cfg.schedule.epochs_dense,
                              "mode": "dense"})
@@ -97,20 +99,13 @@ def cmd_prune(cfg, baseline=None):
     masks = MaskSet(model.config)
     heads = BpiHeads(model.config, patch_head=cfg.model.patch_head,
                      lr=cfg.optimizer.lr_bpi, seed=cfg.seed + 1)
-    schedule = PruneSchedule(
-        epochs_warmup=cfg.schedule.epochs_warmup,
-        epochs_sparsify=cfg.schedule.epochs_sparsify,
-        epochs_sharpen=cfg.schedule.epochs_sharpen,
-        epochs_finetune=cfg.schedule.epochs_finetune,
-        mask_update_freq=cfg.schedule.mask_update_freq,
-        keep_target=cfg.pruning.keep_ratio,
-        sharpness_init=cfg.pruning.sharpness,
-        sharpness_floor=cfg.pruning.sharpness_floor,
-        update_masks_during_sharpen=cfg.schedule.update_masks_during_sharpen)
     metrics = MetricsWriter(out_dir)
-    run = PruningRun(model, masks, heads, schedule, train_ds, val_ds, cfg, metrics)
-    compact, summary = run.run()
-    metrics.flush()
+    run = PruningRun(model, masks, heads, PruneSchedule.from_config(cfg),
+                     train_ds, val_ds, cfg, metrics)
+    try:
+        compact, summary = run.run()
+    finally:
+        metrics.flush()
     save_compact(out_dir / "compact-final.ckpt", compact)
     save_masked(out_dir / "masked-final.ckpt", model, masks)
     if baseline:
@@ -160,11 +155,7 @@ def cmd_probe(cfg, checkpoints):
                 "bp_patch": f"{bp_patch[i]:.6f}",
             })
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "probe.csv", "w", newline="") as fh:
-        w = csv.DictWriter(fh, ["checkpoint", "block_index", "block_type",
-                                "bp_class", "bp_patch"])
-        w.writeheader()
-        w.writerows(rows)
+    write_csv(out_dir / "probe.csv", PROBE_FIELDS, rows)
     print(f"probe done: {len(rows)} rows -> {out_dir / 'probe.csv'}")
     return 0
 
@@ -236,11 +227,7 @@ def cmd_report(run_dir):
         tables = _normalized_tables(rows)
         for flavor, table in tables.items():
             out = run_dir / f"probe_norm_{flavor}.csv"
-            with open(out, "w", newline="") as fh:
-                w = csv.DictWriter(fh, ["checkpoint", "block_index", "block_type",
-                                        "bp_class", "bp_patch"])
-                w.writeheader()
-                w.writerows(table)
+            write_csv(out, PROBE_FIELDS, table)
             lines.append(f"wrote {out.name} ({flavor}-normalized benefit)")
     print("\n".join(lines))
     return 0

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import yaml
 
@@ -112,7 +112,13 @@ class RunConfig:
 
     def validate(self):
         self.model.vit_config()
-        p, s = self.pruning, self.schedule
+        p, s, m, d = self.pruning, self.schedule, self.model, self.data
+        if m.depth < 1:
+            raise ConfigError("model.depth must be >= 1")
+        if m.num_classes < 2:
+            raise ConfigError("model.num_classes must be >= 2")
+        if d.train_per_class < 1 or d.val_per_class < 1:
+            raise ConfigError("data.train_per_class and data.val_per_class must be >= 1")
         if not 0 < p.keep_ratio <= 1:
             raise ConfigError("pruning.keep_ratio must be in (0, 1]")
         if not 0 <= p.alpha <= 1:
@@ -146,6 +152,35 @@ class RunConfig:
         return asdict(self)
 
 
+_SCALARS = {"int": int, "float": float, "bool": bool, "str": str}
+
+
+def _typed(value, annotation, path):
+    """``value`` checked against a field annotation such as 'int' or 'float | None'.
+
+    bool is not taken for an int or a float. A float also takes an int, or a
+    string that float() parses, converted: PyYAML reads 1e-3 as a string.
+    """
+    kinds = [k.strip() for k in annotation.split("|")]
+    if value is None and "None" in kinds:
+        return value
+    kind = kinds[0]
+    if isinstance(value, bool):
+        ok = kind == "bool"
+    elif kind == "float" and isinstance(value, str):
+        try:
+            return float(value)
+        except ValueError:
+            ok = False
+    elif kind == "float":
+        ok = isinstance(value, (int, float))
+    else:
+        ok = isinstance(value, _SCALARS[kind])
+    if not ok:
+        raise ConfigError(f"{path} must be {annotation}, got {value!r}")
+    return value
+
+
 def _build_section(cls, raw, path):
     if raw is None:
         raw = {}
@@ -155,7 +190,8 @@ def _build_section(cls, raw, path):
     unknown = set(raw) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in '{path}': {sorted(unknown)}")
-    return cls(**raw)
+    return cls(**{f.name: _typed(raw[f.name], f.type, f"{path}.{f.name}")
+                  for f in fields(cls) if f.name in raw})
 
 
 def config_from_dict(raw):
@@ -169,8 +205,9 @@ def config_from_dict(raw):
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
     sections = {name: _build_section(cls, raw.get(name), name)
                 for name, cls in _SECTIONS.items()}
-    cfg = RunConfig(seed=int(raw.get("seed", 0)), out=str(raw.get("out", "runs/run")),
-                    frozen=bool(raw.get("frozen", False)), **sections)
+    top = {f.name: _typed(raw[f.name], f.type, f.name)
+           for f in fields(RunConfig) if f.name in raw and f.name not in _SECTIONS}
+    cfg = RunConfig(**top, **sections)
     return cfg.validate()
 
 

@@ -175,7 +175,8 @@ def values_from_order(order, k, sharpness, ref_value=REF_MASK_VALUE):
     return np.maximum(vals, MIN_MASK_VALUE)
 
 
-def _split_by_kind(ranked, flat):
+def split_by_kind(ranked, flat):
+    """Per-kind slices of a block's concatenated element values."""
     out = {}
     start = 0
     for kind, size in ranked.sizes.items():
@@ -204,21 +205,7 @@ def mask_update(ranked, keep_ratio, sharpness, ref_value=REF_MASK_VALUE,
             f"keep ratio {keep_ratio} keeps {k} of {n} elements, below the "
             f"guard floor {sum(guards.values())}")
     order = _guarded_order(ranked, k, guards)
-    return _split_by_kind(ranked, values_from_order(order, k, sharpness, ref_value))
-
-
-def reactivation_check(old_values, ranked, keep_ratio, sharpness,
-                       ref_value=REF_MASK_VALUE, guard_frac=GUARD_FRACTION):
-    """Rebuild masks under a new importance ordering.
-
-    Rank-based construction means an element previously below 0.5 whose
-    importance rises re-enters the kept set; this wrapper only exists to
-    make that property directly callable, the arithmetic is mask_update's.
-    """
-    for kind, size in ranked.sizes.items():
-        if old_values[kind].shape != (size,):
-            raise ValueError(f"old mask '{kind}' has mismatched shape")
-    return mask_update(ranked, keep_ratio, sharpness, ref_value, guard_frac)
+    return split_by_kind(ranked, values_from_order(order, k, sharpness, ref_value))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
-"""AdamW with decoupled weight decay and bias correction."""
+"""AdamW with decoupled weight decay and bias correction, and the one
+training epoch every phase of a run is built from."""
 
 import numpy as np
 
+from . import autograd as ag
+from .autograd import Tensor
 from .errors import NumericError
 
 
@@ -39,3 +42,32 @@ class AdamW:
     def zero_grad(self):
         for p in self.params:
             p.grad = None
+
+
+def finite_loss(logits, labels, where):
+    """Task cross-entropy; raises NumericError if it is not finite."""
+    loss = ag.softmax_cross_entropy(logits, labels)
+    if not np.isfinite(loss.data):
+        raise NumericError(f"non-finite loss {where}; aborting run")
+    return loss
+
+
+def train_epoch(batches, optimizers, step, after_step=None):
+    """One pass over ``batches``; returns the sample-weighted mean task loss.
+
+    Per batch: clear the tape, run ``step(x, labels)`` (forward and backward;
+    it returns the task loss), step and zero every optimizer, then call
+    ``after_step()``.
+    """
+    loss_sum, count = 0.0, 0
+    for images, labels in batches:
+        ag.tape.clear()
+        loss = step(Tensor(images), labels)
+        for opt in optimizers:
+            opt.step()
+            opt.zero_grad()
+        loss_sum += float(loss.data) * len(labels)
+        count += len(labels)
+        if after_step:
+            after_step()
+    return loss_sum / max(count, 1)

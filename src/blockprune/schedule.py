@@ -23,11 +23,11 @@ from .autograd import Tensor
 from .bpi import BpAccumulator, BpiHeads
 from .budget import allocate, block_importance
 from .data import batch_iter
-from .errors import BudgetInfeasibleError, NumericError
+from .errors import BudgetInfeasibleError
 from .masking import (BlockGeometry, TaylorAccumulator, guard_minimums,
-                      normalize_and_concat, plan_block_budgets, values_from_order,
-                      _guarded_order)
-from .optim import AdamW
+                      normalize_and_concat, plan_block_budgets, split_by_kind,
+                      values_from_order, _guarded_order)
+from .optim import AdamW, finite_loss, train_epoch
 from .vit import CompactVit, MaskSet, MaskedVit
 
 FROZEN_LR = 1e-8
@@ -60,6 +60,19 @@ class PruneSchedule:
     sharpness_init: float = 0.1
     sharpness_floor: float = 5e-3
     update_masks_during_sharpen: bool = True
+
+    @classmethod
+    def from_config(cls, cfg):
+        s, p = cfg.schedule, cfg.pruning
+        return cls(epochs_warmup=s.epochs_warmup,
+                   epochs_sparsify=s.epochs_sparsify,
+                   epochs_sharpen=s.epochs_sharpen,
+                   epochs_finetune=s.epochs_finetune,
+                   mask_update_freq=s.mask_update_freq,
+                   keep_target=p.keep_ratio,
+                   sharpness_init=p.sharpness,
+                   sharpness_floor=p.sharpness_floor,
+                   update_masks_during_sharpen=s.update_masks_during_sharpen)
 
     @property
     def pruning_epochs(self):
@@ -116,15 +129,11 @@ class MetricsWriter:
 
     def flush(self):
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        with open(self.out_dir / "metrics.csv", "w", newline="") as fh:
-            w = csv.DictWriter(fh, ["epoch", "phase", "loss", "acc", "kappa_global", "tau"])
-            w.writeheader()
-            w.writerows(self.epoch_rows)
-        with open(self.out_dir / "updates.csv", "w", newline="") as fh:
-            w = csv.DictWriter(fh, ["step", "block_index", "block_type", "bp_class",
-                                    "bp_patch", "kappa_block", "params_remaining"])
-            w.writeheader()
-            w.writerows(self.update_rows)
+        write_csv(self.out_dir / "metrics.csv",
+                  ["epoch", "phase", "loss", "acc", "kappa_global", "tau"], self.epoch_rows)
+        write_csv(self.out_dir / "updates.csv",
+                  ["step", "block_index", "block_type", "bp_class",
+                   "bp_patch", "kappa_block", "params_remaining"], self.update_rows)
 
 
 class PruningRun:
@@ -179,14 +188,10 @@ class PruningRun:
 
     # -- single training step ---------------------------------------------
 
-    def _train_step(self, images, labels):
-        ag.tape.clear()
-        x = Tensor(images)
+    def _train_step(self, x, labels):
+        self.global_step += 1
         logits, trace = self.model.forward(x, self.masks)
-        task_loss = ag.softmax_cross_entropy(logits, labels)
-        if not np.isfinite(task_loss.data):
-            raise NumericError(
-                f"non-finite loss at step {self.global_step}; aborting run")
+        task_loss = finite_loss(logits, labels, f"at step {self.global_step}")
         bp_class, bp_patch, head_loss = self.heads.step(trace, labels)
         if self.verify_stop_gradient:
             ag.backward(head_loss)
@@ -198,12 +203,8 @@ class PruningRun:
             ag.backward(ag.add(task_loss, head_loss))
         self.taylor.add(self.masks.values(), self.masks.gradients())
         self.bp_acc.add(bp_class, bp_patch)
-        self.model_opt.step()
-        self.heads.optimizer.step()
-        self.model_opt.zero_grad()
-        self.heads.optimizer.zero_grad()
         self.masks.zero_grads()
-        return float(task_loss.data)
+        return task_loss
 
     # -- budget + mask update ----------------------------------------------
 
@@ -224,19 +225,13 @@ class PruningRun:
             guards = guard_minimums(r.sizes, p.guard_frac)
             order = _guarded_order(r, k, guards)
             vals = values_from_order(order, k, self.sharpness, p.mask_ref)
-            start = 0
-            new_vals = {}
-            for kind, size in r.sizes.items():
-                new_vals[kind] = vals[start:start + size]
-                start += size
-            self.masks.set_block(i, new_vals)
+            self.masks.set_block(i, split_by_kind(r, vals))
         totals, remaining = self.model.param_totals(self.masks)
         if self.metrics:
             for i in range(len(self.geoms)):
                 self.metrics.update(
                     self.global_step, i + 1, self.geoms[i].block_type,
                     bp_class[i], bp_patch[i], remaining[i] / totals[i], int(remaining[i]))
-        return bp_class, bp_patch
 
     # -- phase loops ---------------------------------------------------------
 
@@ -244,69 +239,62 @@ class PruningRun:
         totals, remaining = self.model.param_totals(self.masks)
         return float(remaining.sum() / totals.sum())
 
+    def _after_step(self, phase):
+        """Mask update when one is due, then the step callback."""
+        if self.global_step % self.update_freq == 0:
+            s = self.schedule
+            sparsify_steps = max(1, s.epochs_sparsify * self.steps_per_epoch)
+            sharpen_steps = max(1, s.epochs_sharpen * self.steps_per_epoch)
+            warm_steps = s.epochs_warmup * self.steps_per_epoch
+            past_warm = self.global_step > warm_steps
+            if phase == SHARPEN:
+                q = (self.global_step - warm_steps - sparsify_steps) / sharpen_steps
+                self.sharpness = sharpness_ramp(min(max(q, 0.0), 1.0),
+                                                s.sharpness_init, s.sharpness_floor)
+            if past_warm:
+                if phase == SPARSIFY:
+                    prog = min(1.0, (self.global_step - warm_steps) / sparsify_steps)
+                    self.current_keep = intermediate_target(prog, s.keep_target)
+                else:
+                    self.current_keep = s.keep_target
+                if phase != SHARPEN or s.update_masks_during_sharpen:
+                    self._update_masks(self.current_keep)
+        if self.step_callback:
+            self.step_callback(self)
+
+    def _batches(self, epoch):
+        return batch_iter(self.train_ds, self.cfg.schedule.batch_size, self.cfg.seed,
+                          epoch, flip=self.cfg.data.flip)
+
     def _run_pruning_epochs(self):
-        s = self.schedule
-        sparsify_steps = max(1, s.epochs_sparsify * self.steps_per_epoch)
-        sharpen_steps = max(1, s.epochs_sharpen * self.steps_per_epoch)
-        warm_steps = s.epochs_warmup * self.steps_per_epoch
-        for epoch in range(s.pruning_epochs):
-            phase = s.phase_of(epoch)
-            loss_sum = 0.0
-            for images, labels in batch_iter(self.train_ds, self.cfg.schedule.batch_size,
-                                             self.cfg.seed, epoch,
-                                             flip=self.cfg.data.flip):
-                self.global_step += 1
-                loss_sum += self._train_step(images, labels) * len(labels)
-                if self.global_step % self.update_freq == 0:
-                    past_warm = self.global_step > warm_steps
-                    if phase == SHARPEN:
-                        q = (self.global_step - warm_steps - sparsify_steps) / sharpen_steps
-                        self.sharpness = sharpness_ramp(min(max(q, 0.0), 1.0),
-                                                        s.sharpness_init, s.sharpness_floor)
-                    if past_warm:
-                        if phase == SPARSIFY:
-                            prog = min(1.0, (self.global_step - warm_steps) / sparsify_steps)
-                            self.current_keep = intermediate_target(prog, s.keep_target)
-                        else:
-                            self.current_keep = s.keep_target
-                        if phase != SHARPEN or s.update_masks_during_sharpen:
-                            self._update_masks(self.current_keep)
-                if self.step_callback:
-                    self.step_callback(self)
+        for epoch in range(self.schedule.pruning_epochs):
+            phase = self.schedule.phase_of(epoch)
+            loss = train_epoch(self._batches(epoch), [self.model_opt, self.heads.optimizer],
+                               self._train_step, lambda: self._after_step(phase))
             acc, _ = evaluate(self.model, self.val_ds, masks=self.masks)
             if self.metrics:
-                self.metrics.epoch(epoch, phase, loss_sum / len(self.train_ds), acc,
-                                   self.kappa_global(), self.sharpness)
+                self.metrics.epoch(epoch, phase, loss, acc, self.kappa_global(),
+                                   self.sharpness)
 
-    def compact(self):
-        """Binarize masks at 0.5 and delete every sub-threshold channel."""
-        return CompactVit.from_masked(self.model, self.masks)
-
-    def _finetune(self, compact):
+    def _finetune(self, compact, acc):
+        """Train the compact model; returns its last validation accuracy, or
+        ``acc`` when there are no fine-tune epochs."""
         s, cfg = self.schedule, self.cfg
         lr = cfg.optimizer.lr_finetune or cfg.optimizer.lr_model
         opt = AdamW(compact.parameters(), lr=lr, weight_decay=cfg.optimizer.weight_decay)
         kappa = self.kappa_global()
-        acc = None
-        for epoch in range(s.epochs_finetune):
-            loss_sum = 0.0
-            for images, labels in batch_iter(self.train_ds, cfg.schedule.batch_size,
-                                             cfg.seed, s.pruning_epochs + epoch,
-                                             flip=cfg.data.flip):
-                self.global_step += 1
-                ag.tape.clear()
-                logits = compact.forward(Tensor(images))
-                loss = ag.softmax_cross_entropy(logits, labels)
-                if not np.isfinite(loss.data):
-                    raise NumericError(f"non-finite loss at step {self.global_step}")
-                ag.backward(loss)
-                opt.step()
-                opt.zero_grad()
-                loss_sum += float(loss.data) * len(labels)
+
+        def step(x, labels):
+            self.global_step += 1
+            loss = finite_loss(compact.forward(x), labels, f"at step {self.global_step}")
+            ag.backward(loss)
+            return loss
+
+        for epoch in range(s.pruning_epochs, s.pruning_epochs + s.epochs_finetune):
+            loss = train_epoch(self._batches(epoch), [opt], step)
             acc, _ = evaluate(compact, self.val_ds)
             if self.metrics:
-                self.metrics.epoch(s.pruning_epochs + epoch, FINETUNE,
-                                   loss_sum / len(self.train_ds), acc, kappa, self.sharpness)
+                self.metrics.epoch(epoch, FINETUNE, loss, acc, kappa, self.sharpness)
         return acc
 
     def run(self):
@@ -314,11 +302,9 @@ class PruningRun:
         started = time.time()
         self._run_pruning_epochs()
         masked_acc, _ = evaluate(self.model, self.val_ds, masks=self.masks)
-        compact = self.compact()
+        compact = CompactVit.from_masked(self.model, self.masks)
         compact_acc, _ = evaluate(compact, self.val_ds)
-        final_acc = self._finetune(compact)
-        if final_acc is None:
-            final_acc = compact_acc
+        final_acc = self._finetune(compact, compact_acc)
         totals, remaining = self.model.param_totals(self.masks)
         summary = {
             "val_acc_masked": masked_acc,
@@ -344,28 +330,32 @@ def train_dense(model, train_ds, val_ds, cfg, epochs, metrics=None,
                 weight_decay=cfg.optimizer.weight_decay)
     acc = 0.0
     for epoch in range(epochs):
-        loss_sum = 0.0
-        for images, labels in batch_iter(train_ds, cfg.schedule.batch_size,
-                                         cfg.seed, epoch, flip=cfg.data.flip):
-            ag.tape.clear()
-            logits, _ = model.forward(Tensor(images), masks, collect_trace=False)
-            loss = ag.softmax_cross_entropy(logits, labels)
-            if not np.isfinite(loss.data):
-                raise NumericError(f"non-finite loss in epoch {epoch}")
+        def step(x, labels):
+            logits, _ = model.forward(x, masks, collect_trace=False)
+            loss = finite_loss(logits, labels, f"in epoch {epoch}")
             ag.backward(loss)
-            opt.step()
-            opt.zero_grad()
-            loss_sum += float(loss.data) * len(labels)
+            return loss
+
+        batches = batch_iter(train_ds, cfg.schedule.batch_size, cfg.seed, epoch,
+                             flip=cfg.data.flip)
+        loss = train_epoch(batches, [opt], step)
         acc, _ = evaluate(model, val_ds, masks=masks)
         if metrics:
-            metrics.epoch(epoch, "dense", loss_sum / len(train_ds), acc, 1.0, 0.0)
+            metrics.epoch(epoch, "dense", loss, acc, 1.0, 0.0)
         if checkpoint_fn and cfg.schedule.checkpoint_every and \
                 (epoch + 1) % cfg.schedule.checkpoint_every == 0:
             checkpoint_fn(epoch, model, masks)
     return masks, acc
 
 
-def write_summary(path, summary):
+def write_csv(path, fields, rows):
+    with open(path, "w", newline="") as fh:
+        w = csv.DictWriter(fh, fields)
+        w.writeheader()
+        w.writerows(rows)
+
+
+def write_json(path, obj):
     with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")

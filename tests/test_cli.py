@@ -7,7 +7,7 @@ import yaml
 from blockprune import cli
 from blockprune.checkpoint import load_compact, load_masked, save_compact, save_masked
 from blockprune.config import config_from_dict, load_config
-from blockprune.errors import ConfigError, DataFormatError
+from blockprune.errors import ConfigError, DataFormatError, NumericError
 from blockprune.vit import CompactVit, MaskSet, MaskedVit, VitConfig
 
 MICRO = {
@@ -20,6 +20,16 @@ MICRO = {
     "data": {"train_per_class": 6, "val_per_class": 3},
     "pruning": {"keep_ratio": 0.6},
 }
+
+# each of these once ended in a traceback or in a run reported as a success
+BAD_CONFIGS = [
+    {"seed": "abc"},
+    {"schedule": {"batch_size": "64"}},
+    {"model": {"num_classes": 1}},
+    {"model": {"depth": 0}},
+    {"data": {"train_per_class": 0}},
+    {"data": {"val_per_class": 0}},
+]
 
 
 def micro_config_file(tmp_path, **extra):
@@ -61,19 +71,24 @@ class TestConfig:
             config_from_dict({"model": {"embed_dim": 65}})
         with pytest.raises(ConfigError):
             config_from_dict({"data": {"source": "imagenet"}})
+        for raw in BAD_CONFIGS:
+            with pytest.raises(ConfigError):
+                config_from_dict(raw)
 
     def test_idx_requires_paths(self):
         with pytest.raises(ConfigError):
             config_from_dict({"data": {"source": "idx"}})
 
     def test_overrides(self, tmp_path):
-        path = micro_config_file(tmp_path)
+        # PyYAML reads 1e-3 (no dot) as a string; float fields convert it
+        path = micro_config_file(tmp_path, optimizer={"lr_model": "1e-3"})
         cfg = load_config(path, {"seed": 9, "keep_ratio": 0.4, "frozen": True,
                                  "out": "elsewhere"})
         assert cfg.seed == 9
         assert cfg.pruning.keep_ratio == 0.4
         assert cfg.frozen is True
         assert cfg.out == "elsewhere"
+        assert cfg.optimizer.lr_model == 1e-3
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
@@ -242,6 +257,25 @@ class TestCommands:
         bad = tmp_path / "bad.yaml"
         bad.write_text("pruning: {keep_ratio: 2.0}\n")
         assert cli.main(["train", "--config", str(bad)]) == ConfigError.exit_code
+        for i, raw in enumerate(BAD_CONFIGS):
+            path = micro_config_file(tmp_path, out=str(tmp_path / f"bad{i}"), **raw)
+            for command in ("train", "prune"):
+                assert cli.main([command, "--config", path]) == ConfigError.exit_code, raw
+
+    def test_abort_keeps_completed_epochs(self, tmp_path, monkeypatch):
+        class AbortInSecondEpoch(cli.PruningRun):
+            def __init__(self, *args, **kwargs):
+                def abort(run):
+                    if run.global_step > run.steps_per_epoch:
+                        raise NumericError("non-finite loss")
+                super().__init__(*args, step_callback=abort, **kwargs)
+
+        monkeypatch.setattr(cli, "PruningRun", AbortInSecondEpoch)
+        path = micro_config_file(tmp_path, out=str(tmp_path / "ab"))
+        assert cli.main(["prune", "--config", path]) == NumericError.exit_code
+        rows = (tmp_path / "ab" / "metrics.csv").read_text().splitlines()
+        assert len(rows) == 2 and rows[1].startswith("0,warmup,")
+        assert (tmp_path / "ab" / "updates.csv").exists()
 
     def test_manifest_written_before_run_and_reproducible(self, tmp_path):
         cfgp = micro_config_file(tmp_path, out=str(tmp_path / "m1"))

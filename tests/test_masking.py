@@ -6,8 +6,7 @@ import pytest
 from blockprune.errors import NumericError
 from blockprune.masking import (BlockGeometry, TaylorAccumulator,
                                 guard_minimums, mask_update, normalize_and_concat,
-                                plan_block_budgets, plan_kept_elements,
-                                reactivation_check, taylor_score)
+                                plan_block_budgets, plan_kept_elements, taylor_score)
 from blockprune.vit import ATTN, MLP, block_param_count
 
 LN9 = math.log(9.0)
@@ -163,18 +162,13 @@ class TestReactivation:
         assert old["hid"][3] < 0.5
         second = first.copy()
         second[3] = 6.5  # climbs to rank 7
-        new = reactivation_check(old, single_mask(second), kr, 0.1)
+        new = mask_update(single_mask(second), kr, 0.1)
         assert new["hid"][3] > 0.5
 
     def test_monotone_in_rank(self):
         ranked = single_mask(np.arange(50.0))
         vals = mask_update(ranked, 0.3, 0.1)["hid"]
         assert np.all(np.diff(vals) > 0)
-
-    def test_shape_mismatch_rejected(self):
-        ranked = single_mask(np.arange(10.0))
-        with pytest.raises(ValueError):
-            reactivation_check({"hid": np.ones(9)}, ranked, 0.5, 0.1)
 
 
 def geometry(block_type, e=64, heads=4, hidden=256):

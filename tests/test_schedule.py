@@ -139,11 +139,27 @@ class TestPruningRun:
         assert summary["frozen"] is True
 
     def test_nonfinite_loss_aborts(self):
+        # pruning step
         cfg, model, masks, heads, sched, train, val = micro_setup()
         model.pos_embed.data[0, 0, 0] = np.nan
         run = PruningRun(model, masks, heads, sched, train, val, cfg)
         with pytest.raises(NumericError):
             run.run()
+        # dense training
+        cfg, model, masks, heads, sched, train, val = micro_setup()
+        model.pos_embed.data[0, 0, 0] = np.nan
+        with pytest.raises(NumericError):
+            train_dense(model, train, val, cfg, epochs=1)
+        # fine-tuning: the first step's update overflows the compact weights
+        cfg, model, masks, heads, sched, train, val = micro_setup(finetune=1)
+        cfg.optimizer.lr_finetune = 1e30
+        metrics = MetricsWriter(None)
+        run = PruningRun(model, masks, heads, sched, train, val, cfg, metrics)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
+            run.run()
+        assert run.global_step > sched.pruning_epochs * run.steps_per_epoch + 1
+        assert [r["phase"] for r in metrics.epoch_rows] == [
+            sched.phase_of(e) for e in range(sched.pruning_epochs)]
 
     def test_infeasible_keep_ratio_rejected(self):
         cfg, model, masks, heads, sched, train, val = micro_setup()
