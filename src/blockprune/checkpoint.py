@@ -18,43 +18,30 @@ from .vit import ATTN, CompactVit, MaskSet, MaskedVit, VitConfig
 
 MAGIC = "BLOCKPRUNE-CKPT v1"
 
-_LAYER_KEYS = ("ln1_g", "ln1_b", "w_qkv", "b_qkv", "w_proj", "b_proj",
-               "ln2_g", "ln2_b", "w_fc1", "b_fc1", "w_fc2", "b_fc2")
-_ATTN_KEYS = ("ln_g", "ln_b", "w_qkv", "b_qkv", "w_proj", "b_proj")
-_MLP_KEYS = ("ln_g", "ln_b", "w_fc1", "b_fc1", "w_fc2", "b_fc2")
+
+
+def _trunk_entries(model, block_entries):
+    """(name, tensor) of the stem, then ``block_entries``, then the head."""
+    for name in model.STEM:
+        yield name, getattr(model, name)
+    yield from block_entries
+    for name in model.HEAD:
+        yield name, getattr(model, name)
 
 
 def _masked_entries(model: MaskedVit, masks: MaskSet):
-    yield "patch_w", model.patch_w
-    yield "patch_b", model.patch_b
-    yield "cls_token", model.cls_token
-    yield "pos_embed", model.pos_embed
-    for d, layer in enumerate(model.layers):
-        for key in _LAYER_KEYS:
-            yield f"layer.{d}.{key}", layer[key]
-    yield "ln_f_g", model.ln_f_g
-    yield "ln_f_b", model.ln_f_b
-    yield "head_w", model.head_w
-    yield "head_b", model.head_b
-    if masks is not None:
-        for i, block in enumerate(masks.blocks):
-            for kind, t in block.items():
-                yield f"mask.{i}.{kind}", t
+    yield from _trunk_entries(model, ((f"layer.{d}.{key}", t)
+                                      for d, layer in enumerate(model.layers)
+                                      for key, t in layer.items()))
+    for i, block in enumerate(masks.blocks):
+        for kind, t in block.items():
+            yield f"mask.{i}.{kind}", t
 
 
 def _compact_entries(model: CompactVit):
-    yield "patch_w", model.patch_w
-    yield "patch_b", model.patch_b
-    yield "cls_token", model.cls_token
-    yield "pos_embed", model.pos_embed
-    for i, b in enumerate(model.blocks):
-        keys = _ATTN_KEYS if b["type"] == ATTN else _MLP_KEYS
-        for key in keys:
-            yield f"block.{i}.{key}", b[key]
-    yield "ln_f_g", model.ln_f_g
-    yield "ln_f_b", model.ln_f_b
-    yield "head_w", model.head_w
-    yield "head_b", model.head_b
+    return _trunk_entries(model, ((f"block.{i}.{key}", b[key])
+                                  for i, b in enumerate(model.blocks)
+                                  for key in model.BLOCK_KEYS[b["type"]]))
 
 
 def _write(path, kind, config, entries, extra=None):
@@ -79,7 +66,9 @@ def _write(path, kind, config, entries, extra=None):
             fh.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
 
 
-def _read(path):
+def _read(path, kind=None):
+    """(header, model config, entry values) of a checkpoint, which must be of
+    ``kind`` when one is given; raises DataFormatError on a malformed header."""
     with open(path, "rb") as fh:
         first = fh.readline().decode(errors="replace").rstrip("\n")
         if not first.startswith(MAGIC):
@@ -88,8 +77,25 @@ def _read(path):
             nbytes = int(first[len(MAGIC):].strip())
         except ValueError as exc:
             raise DataFormatError(f"{path}: malformed checkpoint header line") from exc
-        header = json.loads(fh.read(nbytes).decode())
+        try:
+            header = json.loads(fh.read(nbytes).decode())
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise DataFormatError(f"{path}: checkpoint header is not JSON: {exc}") from exc
         blob = np.frombuffer(fh.read(), dtype="<f4")
+    if not isinstance(header, dict):
+        raise DataFormatError(f"{path}: checkpoint header is not a JSON object")
+    required = ["kind", "config", "entries"]
+    if header.get("kind") == "compact":
+        required.append("structure")
+    missing = [key for key in required if key not in header]
+    if missing:
+        raise DataFormatError(f"{path}: checkpoint header lacks {', '.join(missing)}")
+    if kind is not None and header["kind"] != kind:
+        raise DataFormatError(f"{path}: expected a {kind}-model checkpoint")
+    try:
+        config = VitConfig(**header["config"])
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: bad model config in checkpoint: {exc}") from exc
     total = sum(int(np.prod(e["shape"])) for e in header["entries"])
     if blob.size != total:
         raise DataFormatError(f"{path}: blob holds {blob.size} values, header expects {total}")
@@ -97,7 +103,13 @@ def _read(path):
     for e in header["entries"]:
         size = int(np.prod(e["shape"]))
         values[e["name"]] = blob[e["offset"]:e["offset"] + size].reshape(e["shape"])
-    return header, values
+    return header, config, values
+
+
+def _entry(path, values, name):
+    if name not in values:
+        raise DataFormatError(f"{path}: missing entry '{name}'")
+    return values[name]
 
 
 def save_masked(path, model: MaskedVit, masks: MaskSet):
@@ -105,19 +117,15 @@ def save_masked(path, model: MaskedVit, masks: MaskSet):
 
 
 def load_masked(path, dtype=np.float32):
-    header, values = _read(path)
-    if header["kind"] != "masked":
-        raise DataFormatError(f"{path}: expected a masked-model checkpoint")
-    config = VitConfig(**header["config"])
+    _, config, values = _read(path, "masked")
     model = MaskedVit(config, seed=0, dtype=dtype)
     masks = MaskSet(config, dtype=dtype)
     for name, t in _masked_entries(model, masks):
-        if name not in values:
-            raise DataFormatError(f"{path}: missing entry '{name}'")
-        if tuple(values[name].shape) != t.shape:
+        value = _entry(path, values, name)
+        if tuple(value.shape) != t.shape:
             raise DataFormatError(f"{path}: entry '{name}' has shape "
-                                  f"{values[name].shape}, expected {t.shape}")
-        t.data = values[name].astype(dtype)
+                                  f"{value.shape}, expected {t.shape}")
+        t.data = value.astype(dtype)
     return model, masks
 
 
@@ -134,12 +142,13 @@ def save_compact(path, model: CompactVit):
 
 
 def load_compact(path, dtype=np.float32):
-    header, values = _read(path)
-    if header["kind"] != "compact":
-        raise DataFormatError(f"{path}: expected a compact-model checkpoint")
-    config = VitConfig(**header["config"])
-    model = CompactVit(config, dtype=dtype)
-    for s in header["structure"]:
+    header, config, values = _read(path, "compact")
+
+    def tensor(name):
+        return Tensor(_entry(path, values, name).astype(dtype), requires_grad=True)
+
+    blocks = []
+    for i, s in enumerate(header["structure"]):
         b = {"type": s["type"],
              "in_idx": np.asarray(s["in_idx"], dtype=np.int64),
              "out_idx": np.asarray(s["out_idx"], dtype=np.int64)}
@@ -147,27 +156,11 @@ def load_compact(path, dtype=np.float32):
             b["e_idx"] = np.asarray(s["e_idx"], dtype=np.int64)
         else:
             b["hid_idx"] = np.asarray(s["hid_idx"], dtype=np.int64)
-        model.blocks.append(b)
-    placeholder = {}
-    for e in header["entries"]:
-        name = e["name"]
-        arr = values[name].astype(dtype)
-        placeholder[name] = Tensor(arr, requires_grad=True)
-    model.patch_w = placeholder["patch_w"]
-    model.patch_b = placeholder["patch_b"]
-    model.cls_token = placeholder["cls_token"]
-    model.pos_embed = placeholder["pos_embed"]
-    model.ln_f_g = placeholder["ln_f_g"]
-    model.ln_f_b = placeholder["ln_f_b"]
-    model.head_w = placeholder["head_w"]
-    model.head_b = placeholder["head_b"]
-    for i, b in enumerate(model.blocks):
-        keys = _ATTN_KEYS if b["type"] == ATTN else _MLP_KEYS
-        for key in keys:
-            b[key] = placeholder[f"block.{i}.{key}"]
-    return model
+        b.update((key, tensor(f"block.{i}.{key}")) for key in CompactVit.BLOCK_KEYS[b["type"]])
+        blocks.append(b)
+    trunk = {name: tensor(name) for name in CompactVit.STEM + CompactVit.HEAD}
+    return CompactVit(config, trunk, blocks, dtype)
 
 
 def load_kind(path):
-    header, _ = _read(path)
-    return header["kind"]
+    return _read(path)[0]["kind"]

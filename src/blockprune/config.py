@@ -119,6 +119,10 @@ class RunConfig:
             raise ConfigError("model.num_classes must be >= 2")
         if d.train_per_class < 1 or d.val_per_class < 1:
             raise ConfigError("data.train_per_class and data.val_per_class must be >= 1")
+        if d.template_grid < 1:
+            raise ConfigError("data.template_grid must be >= 1")
+        if d.noise < 0:
+            raise ConfigError("data.noise must be >= 0")
         if not 0 < p.keep_ratio <= 1:
             raise ConfigError("pruning.keep_ratio must be in (0, 1]")
         if not 0 <= p.alpha <= 1:
@@ -130,7 +134,7 @@ class RunConfig:
         if not 0 <= p.keep_floor <= p.keep_ratio:
             raise ConfigError("pruning.keep_floor must be in [0, keep_ratio]")
         for name in ("epochs_warmup", "epochs_sparsify", "epochs_sharpen",
-                     "epochs_finetune", "epochs_dense"):
+                     "epochs_finetune", "epochs_dense", "probe_epochs", "checkpoint_every"):
             if getattr(s, name) < 0:
                 raise ConfigError(f"schedule.{name} must be >= 0")
         if s.batch_size < 1:

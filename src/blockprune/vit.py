@@ -5,6 +5,12 @@ reads it through an input mask, masks its internal channels (per-head q/k/v
 channels or the MLP hidden layer), and writes back through an output mask.
 Block i (0-based) is Attention for even i, MLP for odd i, so 1-based block
 indices put Attention on odd positions.
+
+Both models share one trunk (``_Trunk``): the patch embedding, class token
+and position embedding before the blocks, and the readout (final layernorm,
+class token, head) after them. Pruning never narrows the trunk; the masked
+and the compact model differ only inside their blocks, whose attention core
+(``_attention``) is shared too.
 """
 
 from __future__ import annotations
@@ -36,6 +42,11 @@ class VitConfig:
     channels: int = 1
 
     def __post_init__(self):
+        for name in ("image_size", "patch_size", "embed_dim", "heads", "channels"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.hidden_dim < 1:
+            raise ValueError("mlp_ratio * embed_dim must be >= 1")
         if self.image_size % self.patch_size:
             raise ValueError("image_size must be divisible by patch_size")
         if self.embed_dim % self.heads:
@@ -162,7 +173,64 @@ def _trunc_normal(rng, shape, std=0.02):
     return vals
 
 
-class MaskedVit:
+def _attention(qkv, head_dim):
+    """Multi-head self-attention over a (n, t, 3, heads, width) q/k/v tensor;
+    returns the heads merged as (n * t, heads * width).
+
+    The temperature stays at the unpruned ``head_dim``: neither masking nor
+    compaction may retune the softmax.
+    """
+    n, t, _, heads, width = qkv.shape
+    qkv = ag.transpose(qkv, (2, 0, 3, 1, 4))
+    q = ag.reshape(ag.slice_axis(qkv, 0, 0, 1), (n, heads, t, width))
+    k = ag.reshape(ag.slice_axis(qkv, 0, 1, 2), (n, heads, t, width))
+    v = ag.reshape(ag.slice_axis(qkv, 0, 2, 3), (n, heads, t, width))
+    scores = ag.scale(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(head_dim))
+    out = ag.matmul(ag.softmax(scores), v)
+    return ag.reshape(ag.transpose(out, (0, 2, 1, 3)), (n * t, heads * width))
+
+
+class _Trunk:
+    """The full-width parts of a model that pruning never narrows.
+
+    ``STEM`` tensors run before the blocks, ``HEAD`` tensors after them; a
+    model keeps each as an attribute of that name and supplies its block
+    tensors through ``_block_parameters()``.
+    """
+
+    STEM = ("patch_w", "patch_b", "cls_token", "pos_embed")
+    HEAD = ("ln_f_g", "ln_f_b", "head_w", "head_b")
+
+    def parameters(self):
+        return ([getattr(self, name) for name in self.STEM] + list(self._block_parameters())
+                + [getattr(self, name) for name in self.HEAD])
+
+    def embed(self, images):
+        c = self.config
+        if images.shape[1] != c.image_size or images.shape[2] != c.image_size:
+            raise ValueError("input images do not match the configured size")
+        n = images.shape[0]
+        g = c.image_size // c.patch_size
+        x = ag.reshape(images, (n, g, c.patch_size, g, c.patch_size, c.channels))
+        x = ag.transpose(x, (0, 1, 3, 2, 4, 5))
+        x = ag.reshape(x, (n * g * g, c.patch_size * c.patch_size * c.channels))
+        x = ag.add(ag.matmul(x, self.patch_w), self.patch_b)
+        x = ag.reshape(x, (n, g * g, c.embed_dim))
+        cls = ag.repeat_axis0(self.cls_token, n)
+        x = ag.concat([cls, x], axis=1)
+        return ag.add(x, self.pos_embed)
+
+    def readout(self, x):
+        """Logits from the class token of the final residual stream."""
+        x = ag.layernorm(x, self.ln_f_g, self.ln_f_b)
+        cls = ag.reshape(ag.slice_axis(x, 1, 0, 1), (x.shape[0], self.config.embed_dim))
+        logits = ag.add(ag.matmul(cls, self.head_w), self.head_b)
+        if not np.all(np.isfinite(logits.data)):
+            raise NumericError("non-finite activations in forward pass")
+        return logits
+
+
+class MaskedVit(_Trunk):
     """Transformer backbone whose blocks read/write through soft masks."""
 
     def __init__(self, config: VitConfig, seed=0, dtype=np.float32):
@@ -202,27 +270,11 @@ class MaskedVit:
         self.head_w = param(_trunc_normal(rng, (c.embed_dim, c.num_classes)))
         self.head_b = param(np.zeros(c.num_classes))
 
-    def parameters(self):
-        ps = [self.patch_w, self.patch_b, self.cls_token, self.pos_embed]
+    def _block_parameters(self):
         for layer in self.layers:
-            ps.extend(layer.values())
-        ps.extend([self.ln_f_g, self.ln_f_b, self.head_w, self.head_b])
-        return ps
+            yield from layer.values()
 
     # -- forward ----------------------------------------------------------
-
-    def embed(self, images):
-        c = self.config
-        n = images.shape[0]
-        g = c.image_size // c.patch_size
-        x = ag.reshape(images, (n, g, c.patch_size, g, c.patch_size, c.channels))
-        x = ag.transpose(x, (0, 1, 3, 2, 4, 5))
-        x = ag.reshape(x, (n * g * g, c.patch_size * c.patch_size * c.channels))
-        x = ag.add(ag.matmul(x, self.patch_w), self.patch_b)
-        x = ag.reshape(x, (n, g * g, c.embed_dim))
-        cls = ag.repeat_axis0(self.cls_token, n)
-        x = ag.concat([cls, x], axis=1)
-        return ag.add(x, self.pos_embed)
 
     def _attn_block(self, x, layer, masks):
         c = self.config
@@ -233,17 +285,7 @@ class MaskedVit:
         qkv = ag.reshape(qkv, (n, t, 3, c.heads, c.head_dim))
         # the same mask instance gates q, k and v in every head
         qkv = ag.mul(qkv, masks["e"])
-        qkv = ag.transpose(qkv, (2, 0, 3, 1, 4))
-        q = ag.reshape(ag.slice_axis(qkv, 0, 0, 1), (n, c.heads, t, c.head_dim))
-        k = ag.reshape(ag.slice_axis(qkv, 0, 1, 2), (n, c.heads, t, c.head_dim))
-        v = ag.reshape(ag.slice_axis(qkv, 0, 2, 3), (n, c.heads, t, c.head_dim))
-        # temperature stays at the unmasked head width; masking must not
-        # retune the softmax while importance is being measured
-        scores = ag.scale(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(c.head_dim))
-        attn = ag.softmax(scores)
-        out = ag.matmul(attn, v)
-        out = ag.reshape(ag.transpose(out, (0, 2, 1, 3)), (n * t, e))
-        out = ag.add(ag.matmul(out, layer["w_proj"]), layer["b_proj"])
+        out = ag.add(ag.matmul(_attention(qkv, c.head_dim), layer["w_proj"]), layer["b_proj"])
         out = ag.reshape(out, (n, t, e))
         return ag.mul(out, masks["out"])
 
@@ -260,8 +302,6 @@ class MaskedVit:
 
     def forward(self, images, masks: MaskSet, collect_trace=True):
         """Masked forward pass; returns (logits, per-block trace)."""
-        if images.shape[1] != self.config.image_size or images.shape[2] != self.config.image_size:
-            raise ValueError("input images do not match the configured size")
         x = self.embed(images)
         trace = []
         for d, layer in enumerate(self.layers):
@@ -272,12 +312,7 @@ class MaskedVit:
                 if collect_trace:
                     trace.append(BlockRecord(i, self.config.block_type(i),
                                              before.detach(), x.detach()))
-        x = ag.layernorm(x, self.ln_f_g, self.ln_f_b)
-        cls = ag.reshape(ag.slice_axis(x, 1, 0, 1), (x.shape[0], self.config.embed_dim))
-        logits = ag.add(ag.matmul(cls, self.head_w), self.head_b)
-        if not np.all(np.isfinite(logits.data)):
-            raise NumericError("non-finite activations in forward pass")
-        return logits, trace
+        return self.readout(x), trace
 
     # -- accounting -------------------------------------------------------
 
@@ -303,7 +338,7 @@ class MaskedVit:
 # physically compacted model
 
 
-class CompactVit:
+class CompactVit(_Trunk):
     """Mask-free model produced by deleting sub-threshold channels.
 
     Per-block channel index lists describe where the (narrower) block
@@ -311,31 +346,28 @@ class CompactVit:
     keeps the original softmax temperature of the unpruned head width.
     """
 
-    def __init__(self, config: VitConfig, dtype=np.float32):
+    # weight tensors of a block, in parameter and checkpoint order
+    BLOCK_KEYS = {ATTN: ("ln_g", "ln_b", "w_qkv", "b_qkv", "w_proj", "b_proj"),
+                  MLP: ("ln_g", "ln_b", "w_fc1", "b_fc1", "w_fc2", "b_fc2")}
+
+    def __init__(self, config: VitConfig, trunk, blocks, dtype=np.float32):
+        """``trunk`` maps every ``STEM`` and ``HEAD`` name to its tensor;
+        ``blocks`` holds one dict of weights and index arrays per block."""
         self.config = config
         self.dtype = dtype
-        self.patch_w = None
-        self.patch_b = None
-        self.cls_token = None
-        self.pos_embed = None
-        self.ln_f_g = None
-        self.ln_f_b = None
-        self.head_w = None
-        self.head_b = None
-        self.blocks = []  # list of dicts with weights + index arrays
+        for name in self.STEM + self.HEAD:
+            setattr(self, name, trunk[name])
+        self.blocks = blocks
 
     @classmethod
     def from_masked(cls, model: MaskedVit, masks: MaskSet):
         c = model.config
-        out = cls(c, model.dtype)
 
         def clone(t):
             return Tensor(t.data.copy(), requires_grad=True)
 
-        out.patch_w, out.patch_b = clone(model.patch_w), clone(model.patch_b)
-        out.cls_token, out.pos_embed = clone(model.cls_token), clone(model.pos_embed)
-        out.ln_f_g, out.ln_f_b = clone(model.ln_f_g), clone(model.ln_f_b)
-        out.head_w, out.head_b = clone(model.head_w), clone(model.head_b)
+        trunk = {name: clone(getattr(model, name)) for name in cls.STEM + cls.HEAD}
+        blocks = []
         for i in range(c.num_blocks):
             layer = model.layers[i // 2]
             idx = masks.kept_indices(i)
@@ -367,15 +399,12 @@ class CompactVit:
                     layer["w_fc2"].data[hi][:, idx["out"]]), requires_grad=True)
                 b["b_fc2"] = Tensor(layer["b_fc2"].data[idx["out"]].copy(), requires_grad=True)
                 b["ln_g"], b["ln_b"] = clone(layer["ln2_g"]), clone(layer["ln2_b"])
-            out.blocks.append(b)
-        return out
+            blocks.append(b)
+        return cls(c, trunk, blocks, model.dtype)
 
-    def parameters(self):
-        ps = [self.patch_w, self.patch_b, self.cls_token, self.pos_embed]
+    def _block_parameters(self):
         for b in self.blocks:
-            ps.extend(v for v in b.values() if isinstance(v, Tensor))
-        ps.extend([self.ln_f_g, self.ln_f_b, self.head_w, self.head_b])
-        return ps
+            yield from (b[key] for key in self.BLOCK_KEYS[b["type"]])
 
     def block_param_counts(self):
         counts = []
@@ -394,15 +423,7 @@ class CompactVit:
         h = ag.take_last(h, b["in_idx"])
         qkv = ag.add(ag.matmul(ag.reshape(h, (n * t, len(b["in_idx"]))), b["w_qkv"]), b["b_qkv"])
         qkv = ag.reshape(qkv, (n, t, 3, c.heads, nk))
-        qkv = ag.transpose(qkv, (2, 0, 3, 1, 4))
-        q = ag.reshape(ag.slice_axis(qkv, 0, 0, 1), (n, c.heads, t, nk))
-        k = ag.reshape(ag.slice_axis(qkv, 0, 1, 2), (n, c.heads, t, nk))
-        v = ag.reshape(ag.slice_axis(qkv, 0, 2, 3), (n, c.heads, t, nk))
-        scores = ag.scale(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(c.head_dim))
-        attn = ag.softmax(scores)
-        o = ag.matmul(attn, v)
-        o = ag.reshape(ag.transpose(o, (0, 2, 1, 3)), (n * t, c.heads * nk))
-        o = ag.add(ag.matmul(o, b["w_proj"]), b["b_proj"])
+        o = ag.add(ag.matmul(_attention(qkv, c.head_dim), b["w_proj"]), b["b_proj"])
         o = ag.reshape(o, (n, t, len(b["out_idx"])))
         return ag.scatter_last(o, b["out_idx"], e)
 
@@ -416,27 +437,9 @@ class CompactVit:
         h = ag.reshape(h, (n, t, len(b["out_idx"])))
         return ag.scatter_last(h, b["out_idx"], e)
 
-    def embed(self, images):
-        c = self.config
-        n = images.shape[0]
-        g = c.image_size // c.patch_size
-        x = ag.reshape(images, (n, g, c.patch_size, g, c.patch_size, c.channels))
-        x = ag.transpose(x, (0, 1, 3, 2, 4, 5))
-        x = ag.reshape(x, (n * g * g, c.patch_size * c.patch_size * c.channels))
-        x = ag.add(ag.matmul(x, self.patch_w), self.patch_b)
-        x = ag.reshape(x, (n, g * g, c.embed_dim))
-        cls = ag.repeat_axis0(self.cls_token, n)
-        x = ag.concat([cls, x], axis=1)
-        return ag.add(x, self.pos_embed)
-
     def forward(self, images):
         x = self.embed(images)
         for b in self.blocks:
             fn = self._attn_block if b["type"] == ATTN else self._mlp_block
             x = ag.add(x, fn(x, b))
-        x = ag.layernorm(x, self.ln_f_g, self.ln_f_b)
-        cls = ag.reshape(ag.slice_axis(x, 1, 0, 1), (x.shape[0], self.config.embed_dim))
-        logits = ag.add(ag.matmul(cls, self.head_w), self.head_b)
-        if not np.all(np.isfinite(logits.data)):
-            raise NumericError("non-finite activations in forward pass")
-        return logits
+        return self.readout(x)

@@ -5,7 +5,8 @@ import pytest
 import yaml
 
 from blockprune import cli
-from blockprune.checkpoint import load_compact, load_masked, save_compact, save_masked
+from blockprune.autograd import Tensor, no_grad
+from blockprune.checkpoint import MAGIC, load_compact, load_masked, save_compact, save_masked
 from blockprune.config import config_from_dict, load_config
 from blockprune.errors import ConfigError, DataFormatError, NumericError
 from blockprune.vit import CompactVit, MaskSet, MaskedVit, VitConfig
@@ -29,7 +30,21 @@ BAD_CONFIGS = [
     {"model": {"depth": 0}},
     {"data": {"train_per_class": 0}},
     {"data": {"val_per_class": 0}},
+    {"model": {"heads": 0}},
+    {"model": {"patch_size": 0}},
+    {"model": {"image_size": 0}},
+    {"model": {"embed_dim": 0}},
+    {"model": {"channels": 0}},
+    {"model": {"mlp_ratio": 0.0}},
+    {"data": {"template_grid": 0}},
+    {"data": {"noise": -1.0}},
+    {"schedule": {"probe_epochs": -1}},
+    {"schedule": {"checkpoint_every": -1}},
 ]
+
+# ways to break a compact checkpoint's header; each ended in a traceback
+CORRUPTIONS = ["missing kind", "missing structure", "unknown config key", "zero heads",
+               "not json", "header length past header", "missing entry"]
 
 
 def micro_config_file(tmp_path, **extra):
@@ -43,6 +58,25 @@ def micro_config_file(tmp_path, **extra):
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(raw))
     return str(path)
+
+
+def corrupted(case, header, blob):
+    """Checkpoint bytes from a parsed header and blob, broken as ``case`` names."""
+    if case == "missing kind":
+        del header["kind"]
+    elif case == "missing structure":
+        del header["structure"]
+    elif case == "unknown config key":
+        header["config"]["dropout"] = 0.1
+    elif case == "zero heads":
+        header["config"]["heads"] = 0
+    elif case == "missing entry":
+        entry = header["entries"].pop()
+        assert entry["name"] == "head_b"
+        blob = blob[:4 * entry["offset"]]
+    payload = b"{kind: compact}" if case == "not json" else json.dumps(header).encode()
+    nbytes = len(payload) + (8 if case == "header length past header" else 0)
+    return f"{MAGIC} {nbytes}\n".encode() + payload + blob
 
 
 class TestConfig:
@@ -126,13 +160,34 @@ class TestCheckpoints:
         path = tmp_path / "c.ckpt"
         save_compact(path, compact)
         loaded = load_compact(path)
+        assert len(compact.parameters()) == len(loaded.parameters())
+        for a, b in zip(compact.parameters(), loaded.parameters()):
+            assert np.array_equal(a.data, b.data)
+        for ba, bb in zip(compact.blocks, loaded.blocks):
+            assert ba["type"] == bb["type"]
+            for key in ("in_idx", "out_idx", "e_idx" if ba["type"] == "attn" else "hid_idx"):
+                assert np.array_equal(ba[key], bb[key])
         rng = np.random.default_rng(1)
-        x = cli.np.asarray(rng.uniform(size=(2, 8, 8, 1)), dtype=np.float32)
-        from blockprune.autograd import Tensor, no_grad
+        x = np.asarray(rng.uniform(size=(2, 8, 8, 1)), dtype=np.float32)
         with no_grad():
             a = compact.forward(Tensor(x)).data
             b = loaded.forward(Tensor(x)).data
-        assert np.allclose(a, b, atol=1e-7)
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("case", CORRUPTIONS)
+    def test_corrupt_header_exits_5(self, tmp_path, case):
+        cfg = VitConfig(image_size=8, patch_size=4, embed_dim=8, heads=2, depth=2,
+                        mlp_ratio=2.0, num_classes=3)
+        model = MaskedVit(cfg, seed=0)
+        path = tmp_path / "compact.ckpt"
+        save_compact(path, CompactVit.from_masked(model, MaskSet(cfg)))
+        first, rest = path.read_bytes().split(b"\n", 1)
+        nbytes = int(first.split()[-1])
+        path.write_bytes(corrupted(case, json.loads(rest[:nbytes]), rest[nbytes:]))
+        with pytest.raises(DataFormatError):
+            load_compact(path)
+        cfgp = micro_config_file(tmp_path, out=str(tmp_path / "ev"))
+        assert cli.main(["eval", "--config", cfgp, str(path)]) == DataFormatError.exit_code
 
     def test_not_a_checkpoint(self, tmp_path):
         p = tmp_path / "junk.ckpt"

@@ -18,6 +18,15 @@ def tiny_model(seed=0, dtype=np.float64):
     return model, masks
 
 
+def tiny_forward(kind):
+    """A tiny model of ``kind`` ('masked' or 'compact') and its forward."""
+    model, masks = tiny_model()
+    if kind == "compact":
+        compact = CompactVit.from_masked(model, masks)
+        return compact, compact.forward
+    return model, lambda images: model.forward(images, masks)
+
+
 def rand_images(n, config=TINY, seed=1, dtype=np.float64):
     rng = np.random.default_rng(seed)
     return Tensor(rng.uniform(size=(n, config.image_size, config.image_size,
@@ -30,6 +39,11 @@ class TestConfig:
             VitConfig(image_size=30, patch_size=4)
         with pytest.raises(ValueError):
             VitConfig(embed_dim=65, heads=4)
+        # non-positive geometry is rejected before any division by it
+        for bad in ({"heads": 0}, {"patch_size": 0}, {"image_size": 0}, {"embed_dim": 0},
+                    {"channels": 0}, {"mlp_ratio": 0.0}, {"heads": -4}, {"embed_dim": -64}):
+            with pytest.raises(ValueError):
+                VitConfig(**bad)
 
     def test_block_layout(self):
         cfg = VitConfig()
@@ -88,15 +102,19 @@ class TestMaskedForward:
             assert np.array_equal(a.after.data, b.before.data)
 
     def test_wrong_image_size(self):
-        model, masks = tiny_model()
-        with pytest.raises(ValueError):
-            model.forward(Tensor(np.zeros((1, 6, 6, 1))), masks)
+        for kind in ("masked", "compact"):
+            _, forward = tiny_forward(kind)
+            # 4 x 16 has the pixel count of 8 x 8: only the size check rejects it
+            for shape in ((1, 6, 6, 1), (1, 4, 16, 1)):
+                with pytest.raises(ValueError):
+                    forward(Tensor(np.zeros(shape)))
 
     def test_nonfinite_activation_detected(self):
-        model, masks = tiny_model()
-        model.head_b.data[:] = np.inf
-        with pytest.raises(NumericError):
-            model.forward(rand_images(1), masks)
+        for kind in ("masked", "compact"):
+            model, forward = tiny_forward(kind)
+            model.head_b.data[:] = np.inf
+            with pytest.raises(NumericError):
+                forward(rand_images(1))
 
     def test_mlp_mask_fold_equivalence(self):
         # ll2(h * M) == h @ (diag(M) @ W2) for a random soft mask
