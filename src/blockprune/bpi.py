@@ -158,28 +158,3 @@ def probe_checkpoint(model, masks, train_ds, val_ds, epochs,
         sum_patch += bp_patch * len(labels)
         total += len(labels)
     return sum_class / max(total, 1), sum_patch / max(total, 1)
-
-
-class BpAccumulator:
-    """Running mean of per-block benefit since the last budget update."""
-
-    def __init__(self, num_blocks):
-        self.num_blocks = num_blocks
-        self._sum_class = np.zeros(num_blocks)
-        self._sum_patch = np.zeros(num_blocks)
-        self.steps = 0
-
-    def add(self, bp_class, bp_patch):
-        self._sum_class += bp_class
-        self._sum_patch += bp_patch
-        self.steps += 1
-
-    def read_and_reset(self):
-        if self.steps == 0:
-            raise RuntimeError("benefit accumulator read while empty")
-        mean_class = self._sum_class / self.steps
-        mean_patch = self._sum_patch / self.steps
-        self._sum_class = np.zeros(self.num_blocks)
-        self._sum_patch = np.zeros(self.num_blocks)
-        self.steps = 0
-        return mean_class, mean_patch

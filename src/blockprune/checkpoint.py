@@ -66,9 +66,9 @@ def _write(path, kind, config, entries, extra=None):
             fh.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
 
 
-def _read(path, kind=None):
-    """(header, model config, entry values) of a checkpoint, which must be of
-    ``kind`` when one is given; raises DataFormatError on a malformed header."""
+def _read(path, kinds=("masked", "compact")):
+    """(header, model config, entry values) of a checkpoint whose kind is one
+    of ``kinds``; raises DataFormatError on a malformed header."""
     with open(path, "rb") as fh:
         first = fh.readline().decode(errors="replace").rstrip("\n")
         if not first.startswith(MAGIC):
@@ -90,8 +90,8 @@ def _read(path, kind=None):
     missing = [key for key in required if key not in header]
     if missing:
         raise DataFormatError(f"{path}: checkpoint header lacks {', '.join(missing)}")
-    if kind is not None and header["kind"] != kind:
-        raise DataFormatError(f"{path}: expected a {kind}-model checkpoint")
+    if header["kind"] not in kinds:
+        raise DataFormatError(f"{path}: expected a {' or '.join(kinds)}-model checkpoint")
     try:
         config = VitConfig(**header["config"])
     except (TypeError, ValueError) as exc:
@@ -116,8 +116,20 @@ def save_masked(path, model: MaskedVit, masks: MaskSet):
     _write(path, "masked", model.config, list(_masked_entries(model, masks)))
 
 
+def load(path, dtype=np.float32):
+    """(model, masks) of a masked checkpoint, or (model, None) of a compact one."""
+    header, config, values = _read(path)
+    if header["kind"] == "masked":
+        return _masked_model(path, config, values, dtype)
+    return _compact_model(path, header, config, values, dtype), None
+
+
 def load_masked(path, dtype=np.float32):
-    _, config, values = _read(path, "masked")
+    _, config, values = _read(path, ("masked",))
+    return _masked_model(path, config, values, dtype)
+
+
+def _masked_model(path, config, values, dtype):
     model = MaskedVit(config, seed=0, dtype=dtype)
     masks = MaskSet(config, dtype=dtype)
     for name, t in _masked_entries(model, masks):
@@ -142,13 +154,23 @@ def save_compact(path, model: CompactVit):
 
 
 def load_compact(path, dtype=np.float32):
-    header, config, values = _read(path, "compact")
+    return _compact_model(path, *_read(path, ("compact",)), dtype)
+
+
+def _compact_model(path, header, config, values, dtype):
+    structure = header["structure"]
+    if not isinstance(structure, list) or len(structure) != config.num_blocks:
+        raise DataFormatError(f"{path}: structure is not a list of "
+                              f"{config.num_blocks} blocks, one per block of the config")
 
     def tensor(name):
         return Tensor(_entry(path, values, name).astype(dtype), requires_grad=True)
 
     blocks = []
-    for i, s in enumerate(header["structure"]):
+    for i, s in enumerate(structure):
+        if not isinstance(s, dict) or s.get("type") != config.block_type(i):
+            raise DataFormatError(f"{path}: structure block {i} is not an object of "
+                                  f"type {config.block_type(i)!r}")
         b = {"type": s["type"],
              "in_idx": np.asarray(s["in_idx"], dtype=np.int64),
              "out_idx": np.asarray(s["out_idx"], dtype=np.int64)}
@@ -160,7 +182,3 @@ def load_compact(path, dtype=np.float32):
         blocks.append(b)
     trunk = {name: tensor(name) for name in CompactVit.STEM + CompactVit.HEAD}
     return CompactVit(config, trunk, blocks, dtype)
-
-
-def load_kind(path):
-    return _read(path)[0]["kind"]

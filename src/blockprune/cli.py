@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .bpi import BpiHeads, probe_checkpoint
-from .checkpoint import load_compact, load_kind, load_masked, save_compact, save_masked
+from .checkpoint import load, load_masked, save_compact, save_masked
 from .config import load_config
 from .data import SyntheticSpec, generate_synthetic, load_idx, normalize_images
 from .errors import BlockPruneError, ConfigError, DataFormatError
@@ -131,8 +131,6 @@ def cmd_probe(cfg, checkpoints):
     rows = []
     for path in checkpoints:
         digest_before = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-        if load_kind(path) != "masked":
-            raise DataFormatError(f"{path}: probe expects masked/dense checkpoints")
         model, masks = load_masked(path)
         if model.config.to_dict() != cfg.model.vit_config().to_dict():
             raise ConfigError(f"{path}: checkpoint geometry does not match config")
@@ -235,13 +233,8 @@ def cmd_report(run_dir):
 
 def cmd_eval(cfg, checkpoint):
     _, val_ds = load_datasets(cfg)
-    kind = load_kind(checkpoint)
-    if kind == "masked":
-        model, masks = load_masked(checkpoint)
-        acc, loss = evaluate(model, val_ds, masks=masks)
-    else:
-        model = load_compact(checkpoint)
-        acc, loss = evaluate(model, val_ds)
+    model, masks = load(checkpoint)
+    acc, loss = evaluate(model, val_ds, masks=masks)
     print(f"{checkpoint}: val acc {acc:.4f}, val loss {loss:.4f}")
     return 0
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
-from .vit import ATTN, block_param_count
+from .vit import BlockGeometry  # noqa: F401  (masking.BlockGeometry is public)
 
 REF_MASK_VALUE = 0.9
 GUARD_FRACTION = 0.05     # minimum kept share per partial mask
@@ -38,36 +38,43 @@ def taylor_score(mask_value, grad):
     return prod * prod
 
 
-class TaylorAccumulator:
-    """Running mean of per-element importance since the last mask update."""
+class RunningMean:
+    """Element-wise mean of the values added since the last read.
 
-    def __init__(self, mask_sizes_per_block):
-        self._sizes = mask_sizes_per_block
+    ``sizes`` holds one {name: length} dict per block; every ``add`` takes
+    one {name: array} dict per block.
+    """
+
+    def __init__(self, sizes):
+        self._sizes = sizes
+        self._reset()
+
+    def _reset(self):
         self.steps = 0
-        self._sums = [
-            {kind: np.zeros(size) for kind, size in sizes.items()}
-            for sizes in mask_sizes_per_block
-        ]
+        self._sums = [{name: np.zeros(n) for name, n in block.items()}
+                      for block in self._sizes]
 
-    def add(self, mask_values, mask_grads):
-        for block_sums, vals, grads in zip(self._sums, mask_values, mask_grads):
-            for kind in block_sums:
-                block_sums[kind] += taylor_score(vals[kind], grads[kind])
+    def add(self, values):
+        for block_sums, block_values in zip(self._sums, values):
+            for name in block_sums:
+                block_sums[name] += block_values[name]
         self.steps += 1
 
     def read_and_reset(self):
         if self.steps == 0:
-            raise RuntimeError("importance accumulator read while empty")
-        means = [
-            {kind: s / self.steps for kind, s in block.items()}
-            for block in self._sums
-        ]
-        self._sums = [
-            {kind: np.zeros(size) for kind, size in sizes.items()}
-            for sizes in self._sizes
-        ]
-        self.steps = 0
+            raise RuntimeError("running mean read while empty")
+        means = [{name: s / self.steps for name, s in block.items()}
+                 for block in self._sums]
+        self._reset()
         return means
+
+
+class TaylorAccumulator(RunningMean):
+    """Running mean of per-element importance since the last mask update."""
+
+    def add(self, mask_values, mask_grads):
+        super().add([{kind: taylor_score(vals[kind], grads[kind]) for kind in sizes}
+                     for sizes, vals, grads in zip(self._sizes, mask_values, mask_grads)])
 
 
 @dataclass
@@ -75,10 +82,10 @@ class RankedBlockScore:
     """Concatenated rank-normalized scores with element provenance."""
 
     values: np.ndarray      # normalized score per element
-    kinds: list             # partial-mask kind per element
-    local_idx: np.ndarray   # index within the partial mask
+    kinds: np.ndarray       # partial-mask kind per element
     scales: dict            # per-kind rank scale factor
     sizes: dict             # per-kind element count, in concatenation order
+    order: np.ndarray       # elements ascending by (score, mask scale, index)
 
     @property
     def total(self):
@@ -92,7 +99,7 @@ def normalize_and_concat(scores, scales, kind_order):
     scale * {0, ..., N-1} / N, ascending with raw importance; ties keep
     original element order.
     """
-    values, kinds, local = [], [], []
+    values = []
     sizes = {}
     for kind in kind_order:
         s = np.asarray(scores[kind], dtype=np.float64)
@@ -102,22 +109,45 @@ def normalize_and_concat(scores, scales, kind_order):
         ranks = np.empty(s.size, dtype=np.int64)
         ranks[order] = np.arange(s.size)
         values.append(scales[kind] * ranks / s.size)
-        kinds.extend([kind] * s.size)
-        local.append(np.arange(s.size))
         sizes[kind] = s.size
-    return RankedBlockScore(np.concatenate(values), kinds,
-                            np.concatenate(local), dict(scales), sizes)
+    values = np.concatenate(values)
+    kinds = np.repeat(list(sizes), list(sizes.values()))
+    element_scales = np.repeat([scales[kind] for kind in sizes], list(sizes.values()))
+    order = np.lexsort((np.arange(values.size), element_scales, values))
+    return RankedBlockScore(values, kinds, dict(scales), sizes, order)
 
 
 def guard_minimums(sizes, guard_frac=GUARD_FRACTION):
     return {kind: max(1, math.ceil(guard_frac * n)) for kind, n in sizes.items()}
 
 
-def _global_order(ranked):
-    """Ascending element order by (score, mask scale, concatenation index)."""
+def _guard_positions(ranked, k, guards):
+    """Boolean masks over the positions of ``ranked.order`` for keeping k.
+
+    Returns (kind at each position, kept before the guard, promoted,
+    demoted). Each mask short of its guard minimum promotes its top pruned
+    elements; the first ``need`` of the lowest-ranked kept elements of masks
+    with surplus are demoted, where ``need`` is the number promoted.
+    """
+    kinds = ranked.kinds[ranked.order]
     n = ranked.total
-    scale_arr = np.array([ranked.scales[k] for k in ranked.kinds])
-    return np.lexsort((np.arange(n), scale_arr, ranked.values))
+    kept = np.arange(n) >= n - k
+    promote = np.zeros(n, dtype=bool)
+    demote = np.zeros(n, dtype=bool)  # first every kept element its mask can spare
+    for kind in ranked.sizes:
+        of_kind = kinds == kind
+        kept_of_kind = np.flatnonzero(of_kind & kept)
+        spare = kept_of_kind.size - guards[kind]
+        if spare < 0:
+            promote[np.flatnonzero(of_kind & ~kept)[spare:]] = True
+        else:
+            demote[kept_of_kind[:spare]] = True
+    need = np.count_nonzero(promote)
+    spare = np.flatnonzero(demote)
+    if spare.size < need:
+        raise ValueError("keep count below the per-mask guard floor")
+    demote[spare[need:]] = False
+    return kinds, kept, promote, demote
 
 
 def _guarded_order(ranked, k, guards):
@@ -127,39 +157,10 @@ def _guarded_order(ranked, k, guards):
     keep boundary; the least important kept elements of masks with surplus
     move just below it. Relative order is otherwise preserved.
     """
-    order = _global_order(ranked)
-    n = ranked.total
-    kept = list(order[n - k:])
-    pruned = list(order[:n - k])
-    counts = {kind: 0 for kind in ranked.sizes}
-    for e in kept:
-        counts[ranked.kinds[e]] += 1
-    deficits = {kind: max(0, guards[kind] - counts[kind]) for kind in counts}
-    need = sum(deficits.values())
-    if need == 0:
-        return np.asarray(order)
-
-    promote = []
-    for e in reversed(pruned):  # highest-ranked pruned first
-        kind = ranked.kinds[e]
-        if deficits[kind] > 0:
-            promote.append(e)
-            deficits[kind] -= 1
-    promote.reverse()  # back to ascending old-rank order
-    promote_set = set(promote)
-    surplus = {kind: counts[kind] - guards[kind] for kind in counts}
-    demote = []
-    for e in kept:  # lowest-ranked kept first
-        kind = ranked.kinds[e]
-        if surplus[kind] > 0 and len(demote) < len(promote):
-            demote.append(e)
-            surplus[kind] -= 1
-    if len(demote) < len(promote):
-        raise ValueError("keep count below the per-mask guard floor")
-    demote_set = set(demote)
-    new_pruned = [e for e in pruned if e not in promote_set] + demote
-    new_kept = promote + [e for e in kept if e not in demote_set]
-    return np.asarray(new_pruned + new_kept)
+    _, kept, promote, demote = _guard_positions(ranked, k, guards)
+    positions = np.concatenate([np.flatnonzero(~kept & ~promote), np.flatnonzero(demote),
+                                np.flatnonzero(promote), np.flatnonzero(kept & ~demote)])
+    return ranked.order[positions]
 
 
 def values_from_order(order, k, sharpness, ref_value=REF_MASK_VALUE):
@@ -212,31 +213,11 @@ def mask_update(ranked, keep_ratio, sharpness, ref_value=REF_MASK_VALUE,
 # parameter-aware keep-count planning
 
 
-@dataclass
-class BlockGeometry:
-    block_type: str
-    sizes: dict      # partial mask sizes in concatenation order
-    heads: int
-
-    @property
-    def inner_kind(self):
-        return "e" if self.block_type == ATTN else "hid"
-
-    def params_of_counts(self, counts):
-        return block_param_count(self.block_type, counts["in"], counts["out"],
-                                 counts[self.inner_kind], self.heads)
-
-    @property
-    def total_params(self):
-        return self.params_of_counts(self.sizes)
-
-
 def _counts_at_k(ranked, k, guards):
-    order = _guarded_order(ranked, k, guards)
-    counts = {kind: 0 for kind in ranked.sizes}
-    for e in order[ranked.total - k:]:
-        counts[ranked.kinds[e]] += 1
-    return counts
+    """Per-kind kept counts of ``_guarded_order(ranked, k, guards)``."""
+    kinds, kept, promote, demote = _guard_positions(ranked, k, guards)
+    final = (kept & ~demote) | promote
+    return {kind: int(np.count_nonzero(final & (kinds == kind))) for kind in ranked.sizes}
 
 
 def plan_kept_elements(ranked, geom, target_params, guard_frac=GUARD_FRACTION):

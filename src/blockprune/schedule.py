@@ -20,15 +20,15 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .bpi import BpAccumulator, BpiHeads
+from .bpi import BpiHeads
 from .budget import allocate, block_importance
 from .data import batch_iter
 from .errors import BudgetInfeasibleError
-from .masking import (BlockGeometry, TaylorAccumulator, guard_minimums,
+from .masking import (RunningMean, TaylorAccumulator, guard_minimums,
                       normalize_and_concat, plan_block_budgets, split_by_kind,
                       values_from_order, _guarded_order)
 from .optim import AdamW, finite_loss, train_epoch
-from .vit import CompactVit, MaskSet, MaskedVit
+from .vit import BlockGeometry, CompactVit, MaskSet, MaskedVit
 
 FROZEN_LR = 1e-8
 
@@ -166,7 +166,7 @@ class PruningRun:
                       for i in range(c.num_blocks)]
         sizes = [c.mask_sizes(i) for i in range(c.num_blocks)]
         self.taylor = TaylorAccumulator(sizes)
-        self.bp_acc = BpAccumulator(c.num_blocks)
+        self.bp_acc = RunningMean([{"class": c.num_blocks, "patch": c.num_blocks}])
         self.scales = run_config.pruning.mask_scales()
 
         lr = FROZEN_LR if run_config.frozen else run_config.optimizer.lr_model
@@ -175,14 +175,16 @@ class PruningRun:
         self._check_feasible()
 
     def _check_feasible(self):
-        p = self.cfg.pruning
-        totals = np.array([g.total_params for g in self.geoms], dtype=float)
-        floor_params = sum(
-            g.params_of_counts(guard_minimums(g.sizes, p.guard_frac)) for g in self.geoms)
-        if p.keep_ratio * totals.sum() < floor_params:
+        """The schedule's keep target must be at most 1 and reach both the
+        allocator's keep floor and the parameter share the per-mask guard
+        minimums keep."""
+        p, target = self.cfg.pruning, self.schedule.keep_target
+        guard_share = sum(g.params_of_counts(guard_minimums(g.sizes, p.guard_frac))
+                          for g in self.geoms) / sum(g.total_params for g in self.geoms)
+        if not max(p.keep_floor, guard_share) <= target <= 1:
             raise BudgetInfeasibleError(
-                f"keep ratio {p.keep_ratio} is below the guard floor "
-                f"({floor_params / totals.sum():.4f} of parameters)")
+                f"keep target {target} is above 1, or below the keep floor "
+                f"{p.keep_floor} or the guard floor ({guard_share:.4f} of parameters)")
         if len(self.train_ds) == 0:
             raise ValueError("empty training dataset")
 
@@ -202,7 +204,7 @@ class PruningRun:
         else:
             ag.backward(ag.add(task_loss, head_loss))
         self.taylor.add(self.masks.values(), self.masks.gradients())
-        self.bp_acc.add(bp_class, bp_patch)
+        self.bp_acc.add([{"class": bp_class, "patch": bp_patch}])
         self.masks.zero_grads()
         return task_loss
 
@@ -210,7 +212,8 @@ class PruningRun:
 
     def _update_masks(self, keep_target):
         p = self.cfg.pruning
-        bp_class, bp_patch = self.bp_acc.read_and_reset()
+        (bp,) = self.bp_acc.read_and_reset()
+        bp_class, bp_patch = bp["class"], bp["patch"]
         scores = self.taylor.read_and_reset()
         totals, remaining = self.model.param_totals(self.masks)
         denom = remaining if p.remaining_param_importance else totals

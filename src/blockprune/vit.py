@@ -163,6 +163,25 @@ def block_param_count(block_type, a_in, a_out, a_inner, heads):
     return a_in * a_inner + a_inner + a_inner * a_out + a_out
 
 
+@dataclass
+class BlockGeometry:
+    block_type: str
+    sizes: dict      # partial mask sizes in concatenation order
+    heads: int
+
+    @property
+    def inner_kind(self):
+        return "e" if self.block_type == ATTN else "hid"
+
+    def params_of_counts(self, counts):
+        return block_param_count(self.block_type, counts["in"], counts["out"],
+                                 counts[self.inner_kind], self.heads)
+
+    @property
+    def total_params(self):
+        return self.params_of_counts(self.sizes)
+
+
 def _trunc_normal(rng, shape, std=0.02):
     # resample out-of-band draws; two-sigma truncation as in common ViT inits
     vals = rng.normal(0.0, std, size=shape)
@@ -319,19 +338,13 @@ class MaskedVit(_Trunk):
     def count_params(self, masks: MaskSet, i):
         """(total, remaining) prunable parameters of block i at threshold 0.5."""
         c = self.config
-        sizes = c.mask_sizes(i)
-        kept = {k: int((masks.blocks[i][k].data >= 0.5).sum()) for k in sizes}
-        btype = c.block_type(i)
-        inner = kept["e"] if btype == ATTN else kept["hid"]
-        inner_full = sizes["e"] if btype == ATTN else sizes["hid"]
-        total = block_param_count(btype, sizes["in"], sizes["out"], inner_full, c.heads)
-        remaining = block_param_count(btype, kept["in"], kept["out"], inner, c.heads)
-        return total, remaining
+        geom = BlockGeometry(c.block_type(i), c.mask_sizes(i), c.heads)
+        kept = {k: int((masks.blocks[i][k].data >= 0.5).sum()) for k in geom.sizes}
+        return geom.total_params, geom.params_of_counts(kept)
 
     def param_totals(self, masks: MaskSet):
-        totals = np.array([self.count_params(masks, i)[0] for i in range(self.config.num_blocks)])
-        remaining = np.array([self.count_params(masks, i)[1] for i in range(self.config.num_blocks)])
-        return totals, remaining
+        counts = np.array([self.count_params(masks, i) for i in range(self.config.num_blocks)])
+        return counts[:, 0], counts[:, 1]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from blockprune import autograd as ag
-from blockprune.bpi import BpAccumulator, BpiHeads
+from blockprune.bpi import BpiHeads
+from blockprune.masking import RunningMean
 from test_vit import TINY, rand_images, tiny_model
 
 
@@ -102,24 +103,33 @@ class TestHeads:
             BpiHeads(TINY, patch_head="mlp-mixer")
 
 
+def benefit_mean(num_blocks):
+    return RunningMean([{"class": num_blocks, "patch": num_blocks}])
+
+
+def read_benefit(acc):
+    (means,) = acc.read_and_reset()
+    return means["class"], means["patch"]
+
+
 class TestAccumulator:
     def test_single_step_mean(self):
-        acc = BpAccumulator(2)
-        acc.add(np.array([0.2, 0.4]), np.array([0.1, 0.3]))
-        mc, mp = acc.read_and_reset()
+        acc = benefit_mean(2)
+        acc.add([{"class": np.array([0.2, 0.4]), "patch": np.array([0.1, 0.3])}])
+        mc, mp = read_benefit(acc)
         assert np.allclose(mc, [0.2, 0.4])
         assert np.allclose(mp, [0.1, 0.3])
 
     def test_two_step_mean(self):
-        acc = BpAccumulator(1)
-        acc.add(np.array([0.2]), np.array([0.0]))
-        acc.add(np.array([0.4]), np.array([0.0]))
-        mc, _ = acc.read_and_reset()
+        acc = benefit_mean(1)
+        acc.add([{"class": np.array([0.2]), "patch": np.array([0.0])}])
+        acc.add([{"class": np.array([0.4]), "patch": np.array([0.0])}])
+        mc, _ = read_benefit(acc)
         assert np.allclose(mc, [0.3])
 
     def test_reset_contract(self):
-        acc = BpAccumulator(1)
-        acc.add(np.array([1.0]), np.array([1.0]))
+        acc = benefit_mean(1)
+        acc.add([{"class": np.array([1.0]), "patch": np.array([1.0])}])
         acc.read_and_reset()
         assert acc.steps == 0
         with pytest.raises(RuntimeError):

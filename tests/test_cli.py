@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
-from blockprune import cli
+from blockprune import checkpoint, cli
 from blockprune.autograd import Tensor, no_grad
 from blockprune.checkpoint import MAGIC, load_compact, load_masked, save_compact, save_masked
 from blockprune.config import config_from_dict, load_config
@@ -42,9 +42,12 @@ BAD_CONFIGS = [
     {"schedule": {"checkpoint_every": -1}},
 ]
 
-# ways to break a compact checkpoint's header; each ended in a traceback
+# ways to break a compact checkpoint's header; each ended in a traceback or
+# loaded without an error
 CORRUPTIONS = ["missing kind", "missing structure", "unknown config key", "zero heads",
-               "not json", "header length past header", "missing entry"]
+               "not json", "header length past header", "missing entry",
+               "structure one block short", "structure block type swapped",
+               "structure not a list", "structure item not an object"]
 
 
 def micro_config_file(tmp_path, **extra):
@@ -74,6 +77,14 @@ def corrupted(case, header, blob):
         entry = header["entries"].pop()
         assert entry["name"] == "head_b"
         blob = blob[:4 * entry["offset"]]
+    elif case == "structure one block short":
+        header["structure"].pop()
+    elif case == "structure block type swapped":
+        header["structure"][0]["type"] = "mlp"
+    elif case == "structure not a list":
+        header["structure"] = 5
+    elif case == "structure item not an object":
+        header["structure"][1] = 1
     payload = b"{kind: compact}" if case == "not json" else json.dumps(header).encode()
     nbytes = len(payload) + (8 if case == "header length past header" else 0)
     return f"{MAGIC} {nbytes}\n".encode() + payload + blob
@@ -300,13 +311,17 @@ class TestCommands:
         assert code == DataFormatError.exit_code
         assert "manifest.json" in capsys.readouterr().err
 
-    def test_eval_checkpoint(self, tmp_path, capsys):
+    def test_eval_checkpoint(self, tmp_path, capsys, monkeypatch):
         cfgp = micro_config_file(tmp_path, out=str(tmp_path / "t4"))
         assert cli.main(["train", "--config", cfgp]) == 0
+        reads = []
+        read = checkpoint._read
+        monkeypatch.setattr(checkpoint, "_read", lambda *a: reads.append(a) or read(*a))
         code = cli.main(["eval", "--config", cfgp,
                          str(tmp_path / "t4" / "checkpoint-final.ckpt")])
         assert code == 0
         assert "val acc" in capsys.readouterr().out
+        assert len(reads) == 1
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.yaml"

@@ -4,12 +4,14 @@ import math
 import random
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from blockprune import autograd as ag
 from blockprune.autograd import Tensor
 from blockprune.budget import allocate, block_importance
-from blockprune.masking import mask_update, normalize_and_concat
+from blockprune.masking import (_guarded_order, guard_minimums, mask_update,
+                                normalize_and_concat)
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False,
                    allow_infinity=False)
@@ -119,6 +121,41 @@ class TestMaskProperties:
                                              ("hid",)), keep, sharp)["hid"]
         for v in np.unique(scores):
             assert np.allclose(a[scores == v], b[permuted == v], atol=1e-12)
+
+
+@st.composite
+def guard_instance(draw):
+    """A block of 2-3 partial masks with tied scores, a scale that can push
+    every element of one mask below the rest, and a keep count."""
+    kinds = draw(st.sampled_from([("in", "out"), ("in", "out", "e"), ("in", "out", "hid")]))
+    sizes = {kind: draw(st.integers(1, 40)) for kind in kinds}
+    scores = {kind: np.array(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)),
+                             dtype=float) for kind, n in sizes.items()}
+    scales = {kind: draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])) for kind in kinds}
+    ranked = normalize_and_concat(scores, scales, kinds)
+    guards = guard_minimums(sizes, draw(st.sampled_from([0.05, 0.2, 0.5])))
+    return ranked, draw(st.integers(0, ranked.total)), guards
+
+
+class TestGuardProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(guard_instance())
+    def test_guarded_order(self, inst):
+        ranked, k, guards = inst
+        n = ranked.total
+        if k < sum(guards.values()):
+            with pytest.raises(ValueError):
+                _guarded_order(ranked, k, guards)
+            return
+        assert np.all(np.diff(ranked.values[ranked.order]) >= 0)
+        order = _guarded_order(ranked, k, guards)
+        assert np.array_equal(np.sort(order), np.arange(n))
+        kept = ranked.kinds[order[n - k:]]
+        for kind, guard in guards.items():
+            assert np.count_nonzero(kept == kind) >= guard
+        plain_kept = ranked.kinds[ranked.order[n - k:]]
+        if all(np.count_nonzero(plain_kept == kind) >= g for kind, g in guards.items()):
+            assert np.array_equal(order, ranked.order)
 
 
 class TestAutogradProperties:

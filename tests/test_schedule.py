@@ -168,6 +168,14 @@ class TestPruningRun:
         cfg.pruning.keep_floor = 0.0
         with pytest.raises(BudgetInfeasibleError):
             PruningRun(model, masks, heads, sched, train, val, cfg)
+        # the run prunes to the schedule's target, not to the config's keep ratio;
+        # 0.02 is below the guard floor, 0.04 below the keep floor only, 1.5 above 1
+        for target in (0.02, 0.04, 1.5):
+            cfg, model, masks, heads, _, train, val = micro_setup(
+                keep=0.5, sparsify=1, sharpen=1, finetune=0)
+            sched = PruneSchedule(1, 1, 1, 0, 0, target)
+            with pytest.raises(BudgetInfeasibleError):
+                PruningRun(model, masks, heads, sched, train, val, cfg)
 
     def test_keep_everything_endpoint(self):
         cfg, model, masks, heads, sched, train, val = micro_setup(keep=1.0)

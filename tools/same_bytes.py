@@ -3,11 +3,12 @@
     python3 tools/same_bytes.py PARENT_SRC CHANGE_SRC
 
 Each argument is a directory that holds the ``blockprune`` package, such as
-the ``src/`` of a checkout. For each of two seeded configurations, a micro
-run with flips and a checkpoint every epoch and a ResNet-probe variant of it,
-the script runs ``train``, ``prune``, ``probe`` (on the final and the epoch-1
-dense checkpoint), ``report`` (on the probe directory) and ``eval`` (on the
-compact and the masked pruned checkpoint) once per tree. Every command runs
+the ``src/`` of a checkout. For each of three seeded configurations, a micro
+run with flips and a checkpoint every epoch, a ResNet-probe variant of it and
+a variant whose zero input-mask scale makes the per-mask guard reorder the
+masks, the script runs ``train``, ``prune``, ``probe`` (on the final and the
+epoch-1 dense checkpoint), ``report`` (on the probe directory) and ``eval``
+(on the compact and the masked pruned checkpoint) once per tree. Every command runs
 in its own subprocess with that tree alone on ``PYTHONPATH``.
 
 It then compares the two trees' outputs: every ``.csv`` and ``.ckpt`` file
@@ -43,7 +44,13 @@ RESNET = json.loads(json.dumps(MICRO))
 RESNET["model"]["patch_head"] = "resnet"
 RESNET["schedule"].update(mask_update_freq=1, epochs_sparsify=2, epochs_finetune=2)
 
-CONFIGS = {"micro": MICRO, "resnet": RESNET}
+# scale 0 ranks every input-mask element below the rest of its block, so
+# the input mask falls short of its guard minimum and the guard moves
+# elements across the keep boundary
+GUARD = json.loads(json.dumps(MICRO))
+GUARD["pruning"]["scale_in"] = 0.0
+
+CONFIGS = {"micro": MICRO, "resnet": RESNET, "guard": GUARD}
 
 # (name of the stdout file, command line); paths are relative to the run's
 # working directory, so the stdout of both trees names the same paths
