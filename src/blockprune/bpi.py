@@ -147,7 +147,8 @@ def probe_checkpoint(model, masks, train_ds, val_ds, epochs,
         return loss
 
     for epoch in range(epochs):
-        train_epoch(batch_iter(train_ds, batch_size, seed, epoch), [heads.optimizer], step)
+        train_epoch(batch_iter(train_ds, batch_size, seed, epoch), [heads.optimizer], step,
+                    lambda: f"in probe epoch {epoch}")
     b = model.config.num_blocks
     sum_class, sum_patch, total = np.zeros(b), np.zeros(b), 0
     for images, labels in batch_iter(val_ds, batch_size, seed, 0):

@@ -85,7 +85,6 @@ def block_importance(bp_class, bp_patch, param_counts, alpha=0.5, eps=EPS_PARAMS
 class BudgetSolution:
     keep_ratios: np.ndarray
     achieved: float          # global keep ratio realized by the continuous solution
-    iterations: int          # clip-and-rescale passes
 
 
 def allocate(merged_importance, param_counts, keep_target, keep_floor=0.05):
@@ -123,7 +122,6 @@ def allocate(merged_importance, param_counts, keep_target, keep_floor=0.05):
     def total(c):
         return float((w * solve(c)).sum())
 
-    iterations = 1
     c_star = None
     prev_c, prev_f = 0.0, total(0.0)
     if prev_f >= target:
@@ -138,7 +136,6 @@ def allocate(merged_importance, param_counts, keep_target, keep_floor=0.05):
                 c_star = c_evt if slope == 0.0 else prev_c + (target - prev_f) / slope
                 break
             prev_c, prev_f = c_evt, f_evt
-            iterations += 1
         if c_star is None:
             if abs(prev_f - target) <= 1e-6 * max(1.0, target):
                 c_star = prev_c
@@ -148,4 +145,4 @@ def allocate(merged_importance, param_counts, keep_target, keep_floor=0.05):
                     f"give {prev_f / w.sum():.6f}")
     kappa = solve(c_star)
     achieved = float((w * kappa).sum() / w.sum())
-    return BudgetSolution(kappa, achieved, iterations)
+    return BudgetSolution(kappa, achieved)

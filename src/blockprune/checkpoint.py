@@ -9,12 +9,15 @@ in header order. Offsets are float32 element offsets into the blob.
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import asdict
 
 import numpy as np
 
 from .autograd import Tensor
 from .errors import DataFormatError
-from .vit import ATTN, CompactVit, MaskSet, MaskedVit, VitConfig
+from .vit import (MASK_KINDS, CompactVit, MaskSet, MaskedVit, VitConfig, block_shapes,
+                  trunk_shapes)
 
 MAGIC = "BLOCKPRUNE-CKPT v1"
 
@@ -53,7 +56,7 @@ def _write(path, kind, config, entries, extra=None):
         offset += t.size
     header = {
         "kind": kind,
-        "config": config.to_dict(),
+        "config": asdict(config),
         "entries": header_entries,
     }
     if extra:
@@ -96,20 +99,49 @@ def _read(path, kinds=("masked", "compact")):
         config = VitConfig(**header["config"])
     except (TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: bad model config in checkpoint: {exc}") from exc
-    total = sum(int(np.prod(e["shape"])) for e in header["entries"])
+    entries = header["entries"]
+    if not isinstance(entries, list):
+        raise DataFormatError(f"{path}: checkpoint entries are not a list")
+    total = 0
+    for k, e in enumerate(entries):
+        if not _is_entry(e, total):
+            raise DataFormatError(f"{path}: entry {k} is not a {{name, shape, offset}} "
+                                  f"record at offset {total}")
+        total += math.prod(e["shape"])
     if blob.size != total:
         raise DataFormatError(f"{path}: blob holds {blob.size} values, header expects {total}")
-    values = {}
-    for e in header["entries"]:
-        size = int(np.prod(e["shape"]))
-        values[e["name"]] = blob[e["offset"]:e["offset"] + size].reshape(e["shape"])
+    values = {e["name"]: blob[e["offset"]:e["offset"] + math.prod(e["shape"])].reshape(e["shape"])
+              for e in entries}
+    if len(values) != len(entries):
+        raise DataFormatError(f"{path}: checkpoint entry names repeat")
     return header, config, values
 
 
-def _entry(path, values, name):
+def _is_entry(e, offset):
+    """Whether ``e`` is a {name, shape, offset} record whose values start at ``offset``."""
+    return (isinstance(e, dict) and isinstance(e.get("name"), str)
+            and isinstance(e.get("shape"), list)
+            and all(type(n) is int and n >= 0 for n in e["shape"])
+            and type(e.get("offset")) is int and e["offset"] == offset)
+
+
+def _entry(path, values, name, shape):
     if name not in values:
         raise DataFormatError(f"{path}: missing entry '{name}'")
+    if values[name].shape != tuple(shape):
+        raise DataFormatError(f"{path}: entry '{name}' has shape "
+                              f"{values[name].shape}, expected {tuple(shape)}")
     return values[name]
+
+
+def _index_list(path, i, kind, idx, width):
+    """Block i's kept ``kind`` channels as an array; ``idx`` must be a
+    non-empty, strictly increasing list of channels in [0, width)."""
+    if not (isinstance(idx, list) and idx and all(type(v) is int for v in idx)
+            and 0 <= idx[0] and idx[-1] < width and all(a < b for a, b in zip(idx, idx[1:]))):
+        raise DataFormatError(f"{path}: structure block {i} '{kind}_idx' is not a sorted "
+                              f"list of distinct channels in [0, {width})")
+    return np.asarray(idx, dtype=np.int64)
 
 
 def save_masked(path, model: MaskedVit, masks: MaskSet):
@@ -133,23 +165,14 @@ def _masked_model(path, config, values, dtype):
     model = MaskedVit(config, seed=0, dtype=dtype)
     masks = MaskSet(config, dtype=dtype)
     for name, t in _masked_entries(model, masks):
-        value = _entry(path, values, name)
-        if tuple(value.shape) != t.shape:
-            raise DataFormatError(f"{path}: entry '{name}' has shape "
-                                  f"{value.shape}, expected {t.shape}")
-        t.data = value.astype(dtype)
+        t.data = _entry(path, values, name, t.shape).astype(dtype)
     return model, masks
 
 
 def save_compact(path, model: CompactVit):
-    structure = []
-    for b in model.blocks:
-        s = {"type": b["type"], "in_idx": b["in_idx"].tolist(), "out_idx": b["out_idx"].tolist()}
-        if b["type"] == ATTN:
-            s["e_idx"] = b["e_idx"].tolist()
-        else:
-            s["hid_idx"] = b["hid_idx"].tolist()
-        structure.append(s)
+    structure = [{"type": b["type"], **{f"{kind}_idx": b[f"{kind}_idx"].tolist()
+                                        for kind in MASK_KINDS[b["type"]]}}
+                 for b in model.blocks]
     _write(path, "compact", model.config, list(_compact_entries(model)), extra=structure)
 
 
@@ -163,22 +186,21 @@ def _compact_model(path, header, config, values, dtype):
         raise DataFormatError(f"{path}: structure is not a list of "
                               f"{config.num_blocks} blocks, one per block of the config")
 
-    def tensor(name):
-        return Tensor(_entry(path, values, name).astype(dtype), requires_grad=True)
+    def tensor(name, shape):
+        return Tensor(_entry(path, values, name, shape).astype(dtype), requires_grad=True)
 
     blocks = []
     for i, s in enumerate(structure):
-        if not isinstance(s, dict) or s.get("type") != config.block_type(i):
+        btype = config.block_type(i)
+        if not isinstance(s, dict) or s.get("type") != btype:
             raise DataFormatError(f"{path}: structure block {i} is not an object of "
-                                  f"type {config.block_type(i)!r}")
-        b = {"type": s["type"],
-             "in_idx": np.asarray(s["in_idx"], dtype=np.int64),
-             "out_idx": np.asarray(s["out_idx"], dtype=np.int64)}
-        if b["type"] == ATTN:
-            b["e_idx"] = np.asarray(s["e_idx"], dtype=np.int64)
-        else:
-            b["hid_idx"] = np.asarray(s["hid_idx"], dtype=np.int64)
-        b.update((key, tensor(f"block.{i}.{key}")) for key in CompactVit.BLOCK_KEYS[b["type"]])
+                                  f"type {btype!r}")
+        idx = {kind: _index_list(path, i, kind, s.get(f"{kind}_idx"), width)
+               for kind, width in config.mask_sizes(i).items()}
+        b = {"type": btype, **{f"{kind}_idx": kept for kind, kept in idx.items()}}
+        shapes = block_shapes(config, btype, *map(len, idx.values()))
+        b.update((key, tensor(f"block.{i}.{key}", shape))
+                 for key, shape in zip(CompactVit.BLOCK_KEYS[btype], shapes))
         blocks.append(b)
-    trunk = {name: tensor(name) for name in CompactVit.STEM + CompactVit.HEAD}
+    trunk = {name: tensor(name, shape) for name, shape in trunk_shapes(config).items()}
     return CompactVit(config, trunk, blocks, dtype)

@@ -132,7 +132,7 @@ def cmd_probe(cfg, checkpoints):
     for path in checkpoints:
         digest_before = hashlib.sha256(Path(path).read_bytes()).hexdigest()
         model, masks = load_masked(path)
-        if model.config.to_dict() != cfg.model.vit_config().to_dict():
+        if model.config != cfg.model.vit_config():
             raise ConfigError(f"{path}: checkpoint geometry does not match config")
         frozen_before = [p.data.copy() for p in model.parameters()]
         bp_class, bp_patch = probe_checkpoint(

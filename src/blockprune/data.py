@@ -42,9 +42,6 @@ class SyntheticSpec:
     template_grid: int = 8   # low-res seed grid, upsampled for smoothness
     seed: int = 0
 
-    def to_dict(self):
-        return dict(self.__dict__)
-
 
 def _smooth_templates(spec: SyntheticSpec, rng):
     """Per-class smooth random images: coarse noise upsampled bilinearly."""

@@ -44,28 +44,32 @@ class AdamW:
             p.grad = None
 
 
-def finite_loss(logits, labels, where):
+def finite_loss(logits, labels):
     """Task cross-entropy; raises NumericError if it is not finite."""
     loss = ag.softmax_cross_entropy(logits, labels)
     if not np.isfinite(loss.data):
-        raise NumericError(f"non-finite loss {where}; aborting run")
+        raise NumericError("non-finite loss")
     return loss
 
 
-def train_epoch(batches, optimizers, step, after_step=None):
+def train_epoch(batches, optimizers, step, where, after_step=None):
     """One pass over ``batches``; returns the sample-weighted mean task loss.
 
     Per batch: clear the tape, run ``step(x, labels)`` (forward and backward;
     it returns the task loss), step and zero every optimizer, then call
-    ``after_step()``.
+    ``after_step()``. A NumericError from the step or an optimizer is raised
+    again with ``where()``, the position in the run such as "at step 12".
     """
     loss_sum, count = 0.0, 0
     for images, labels in batches:
         ag.tape.clear()
-        loss = step(Tensor(images), labels)
-        for opt in optimizers:
-            opt.step()
-            opt.zero_grad()
+        try:
+            loss = step(Tensor(images), labels)
+            for opt in optimizers:
+                opt.step()
+                opt.zero_grad()
+        except NumericError as exc:
+            raise NumericError(f"{exc} {where()}; aborting run") from exc
         loss_sum += float(loss.data) * len(labels)
         count += len(labels)
         if after_step:

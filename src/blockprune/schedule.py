@@ -193,7 +193,7 @@ class PruningRun:
     def _train_step(self, x, labels):
         self.global_step += 1
         logits, trace = self.model.forward(x, self.masks)
-        task_loss = finite_loss(logits, labels, f"at step {self.global_step}")
+        task_loss = finite_loss(logits, labels)
         bp_class, bp_patch, head_loss = self.heads.step(trace, labels)
         if self.verify_stop_gradient:
             ag.backward(head_loss)
@@ -265,6 +265,9 @@ class PruningRun:
         if self.step_callback:
             self.step_callback(self)
 
+    def _where(self):
+        return f"at step {self.global_step}"
+
     def _batches(self, epoch):
         return batch_iter(self.train_ds, self.cfg.schedule.batch_size, self.cfg.seed,
                           epoch, flip=self.cfg.data.flip)
@@ -273,7 +276,7 @@ class PruningRun:
         for epoch in range(self.schedule.pruning_epochs):
             phase = self.schedule.phase_of(epoch)
             loss = train_epoch(self._batches(epoch), [self.model_opt, self.heads.optimizer],
-                               self._train_step, lambda: self._after_step(phase))
+                               self._train_step, self._where, lambda: self._after_step(phase))
             acc, _ = evaluate(self.model, self.val_ds, masks=self.masks)
             if self.metrics:
                 self.metrics.epoch(epoch, phase, loss, acc, self.kappa_global(),
@@ -289,12 +292,12 @@ class PruningRun:
 
         def step(x, labels):
             self.global_step += 1
-            loss = finite_loss(compact.forward(x), labels, f"at step {self.global_step}")
+            loss = finite_loss(compact.forward(x), labels)
             ag.backward(loss)
             return loss
 
         for epoch in range(s.pruning_epochs, s.pruning_epochs + s.epochs_finetune):
-            loss = train_epoch(self._batches(epoch), [opt], step)
+            loss = train_epoch(self._batches(epoch), [opt], step, self._where)
             acc, _ = evaluate(compact, self.val_ds)
             if self.metrics:
                 self.metrics.epoch(epoch, FINETUNE, loss, acc, kappa, self.sharpness)
@@ -335,13 +338,13 @@ def train_dense(model, train_ds, val_ds, cfg, epochs, metrics=None,
     for epoch in range(epochs):
         def step(x, labels):
             logits, _ = model.forward(x, masks, collect_trace=False)
-            loss = finite_loss(logits, labels, f"in epoch {epoch}")
+            loss = finite_loss(logits, labels)
             ag.backward(loss)
             return loss
 
         batches = batch_iter(train_ds, cfg.schedule.batch_size, cfg.seed, epoch,
                              flip=cfg.data.flip)
-        loss = train_epoch(batches, [opt], step)
+        loss = train_epoch(batches, [opt], step, lambda: f"in epoch {epoch}")
         acc, _ = evaluate(model, val_ds, masks=masks)
         if metrics:
             metrics.epoch(epoch, "dense", loss, acc, 1.0, 0.0)

@@ -7,10 +7,12 @@ Block i (0-based) is Attention for even i, MLP for odd i, so 1-based block
 indices put Attention on odd positions.
 
 Both models share one trunk (``_Trunk``): the patch embedding, class token
-and position embedding before the blocks, and the readout (final layernorm,
-class token, head) after them. Pruning never narrows the trunk; the masked
-and the compact model differ only inside their blocks, whose attention core
-(``_attention``) is shared too.
+and position embedding before the blocks, the one attention/MLP block body
+(``_Trunk._block``), and the readout (final layernorm, class token, head)
+after them. Pruning never narrows the trunk. The masked and the compact
+model differ only in how a block selects channels: the masked model
+multiplies by its masks, the compact model gathers and scatters by its kept
+index lists.
 """
 
 from __future__ import annotations
@@ -77,14 +79,6 @@ class VitConfig:
         if self.block_type(i) == ATTN:
             return {"in": e, "out": e, "e": self.head_dim}
         return {"in": e, "out": e, "hid": self.hidden_dim}
-
-    def to_dict(self):
-        return {
-            "image_size": self.image_size, "patch_size": self.patch_size,
-            "embed_dim": self.embed_dim, "heads": self.heads, "depth": self.depth,
-            "mlp_ratio": self.mlp_ratio, "num_classes": self.num_classes,
-            "channels": self.channels,
-        }
 
 
 class MaskSet:
@@ -155,12 +149,34 @@ class BlockRecord:
     after: Tensor   # detached feature map after the residual add
 
 
+def inner_groups(block_type, heads):
+    """(g1, g2): a block's first projection has g1 groups of its inner
+    channels as outputs and its second projection g2 groups as inputs. An
+    attention block's groups are q, k and v of every head, then every head;
+    an MLP block has one group."""
+    return (3 * heads, heads) if block_type == ATTN else (1, 1)
+
+
+def block_shapes(config, block_type, a_in, a_out, a_inner):
+    """Shapes of a block's tensors, in ``BLOCK_KEYS`` order, at the given channel counts."""
+    g1, g2 = inner_groups(block_type, config.heads)
+    e = config.embed_dim
+    return [(e,), (e,), (a_in, g1 * a_inner), (g1 * a_inner,), (g2 * a_inner, a_out), (a_out,)]
+
+
+def trunk_shapes(c):
+    """Shapes of the ``_Trunk.STEM`` and ``_Trunk.HEAD`` tensors of config ``c``."""
+    e = c.embed_dim
+    return {"patch_w": (c.patch_size * c.patch_size * c.channels, e), "patch_b": (e,),
+            "cls_token": (1, 1, e), "pos_embed": (1, 1 + c.num_patches, e),
+            "ln_f_g": (e,), "ln_f_b": (e,), "head_w": (e, c.num_classes),
+            "head_b": (c.num_classes,)}
+
+
 def block_param_count(block_type, a_in, a_out, a_inner, heads):
     """Prunable parameters (projection weights + biases) at the given channel counts."""
-    if block_type == ATTN:
-        qkv_out = 3 * heads * a_inner
-        return a_in * qkv_out + qkv_out + heads * a_inner * a_out + a_out
-    return a_in * a_inner + a_inner + a_inner * a_out + a_out
+    g1, g2 = inner_groups(block_type, heads)
+    return (a_in + 1) * g1 * a_inner + (g2 * a_inner + 1) * a_out
 
 
 @dataclass
@@ -210,18 +226,23 @@ def _attention(qkv, head_dim):
 
 
 class _Trunk:
-    """The full-width parts of a model that pruning never narrows.
+    """The full-width parts of a model that pruning never narrows, and the
+    one block body.
 
     ``STEM`` tensors run before the blocks, ``HEAD`` tensors after them; a
-    model keeps each as an attribute of that name and supplies its block
-    tensors through ``_block_parameters()``.
+    model keeps each as an attribute of that name and supplies block i's
+    tensors, in ``BLOCK_KEYS`` order, through ``block_weights(i)``.
     """
 
     STEM = ("patch_w", "patch_b", "cls_token", "pos_embed")
     HEAD = ("ln_f_g", "ln_f_b", "head_w", "head_b")
+    # weight tensors of a block, in parameter and checkpoint order
+    BLOCK_KEYS = {ATTN: ("ln_g", "ln_b", "w_qkv", "b_qkv", "w_proj", "b_proj"),
+                  MLP: ("ln_g", "ln_b", "w_fc1", "b_fc1", "w_fc2", "b_fc2")}
 
     def parameters(self):
-        return ([getattr(self, name) for name in self.STEM] + list(self._block_parameters())
+        return ([getattr(self, name) for name in self.STEM]
+                + [t for i in range(self.config.num_blocks) for t in self.block_weights(i)]
                 + [getattr(self, name) for name in self.HEAD])
 
     def embed(self, images):
@@ -248,6 +269,35 @@ class _Trunk:
             raise NumericError("non-finite activations in forward pass")
         return logits
 
+    def _block(self, x, block_type, weights, read, inner, write):
+        """Residual delta of one attention or MLP block.
+
+        ``weights`` are the block's six tensors in ``BLOCK_KEYS`` order.
+        ``read`` selects the block's input channels from the layernormed
+        stream, ``inner`` its per-head q/k/v or hidden channels, and
+        ``write`` places its output channels in the full-width stream. Every
+        width comes from the tensors, so one body serves full-width and
+        narrowed blocks.
+        """
+        c = self.config
+        n, t, _ = x.shape
+        ln_g, ln_b, w1, b1, w2, b2 = weights
+        h = read(ag.layernorm(x, ln_g, ln_b))
+        h = ag.add(ag.matmul(ag.reshape(h, (n * t, h.shape[-1])), w1), b1)
+        if block_type == ATTN:
+            # one inner selection gates q, k and v in every head
+            h = _attention(inner(ag.reshape(h, (n, t, 3, c.heads, -1))), c.head_dim)
+        else:
+            h = inner(ag.gelu(h))
+        h = ag.add(ag.matmul(h, w2), b2)
+        return write(ag.reshape(h, (n, t, h.shape[-1])))
+
+
+def _layer_key(key, i):
+    """Name in ``MaskedVit.layers[i // 2]`` of block i's ``BLOCK_KEYS`` entry
+    ``key``: the attention block has layernorm 1, the MLP block layernorm 2."""
+    return key.replace("ln_", f"ln{i % 2 + 1}_")
+
 
 class MaskedVit(_Trunk):
     """Transformer backbone whose blocks read/write through soft masks."""
@@ -257,80 +307,46 @@ class MaskedVit(_Trunk):
         self.dtype = dtype
         rng = np.random.default_rng(seed)
         c = config
-        pdim = c.patch_size * c.patch_size * c.channels
-        t = 1 + c.num_patches
 
-        def param(arr):
+        def param(name, shape):
+            if name.endswith("_g"):
+                arr = np.ones(shape)
+            elif name.endswith("_b") or name.startswith("b_"):
+                arr = np.zeros(shape)
+            else:
+                arr = _trunc_normal(rng, shape)
             return Tensor(arr.astype(dtype), requires_grad=True)
 
-        self.patch_w = param(_trunc_normal(rng, (pdim, c.embed_dim)))
-        self.patch_b = param(np.zeros(c.embed_dim))
-        self.cls_token = param(_trunc_normal(rng, (1, 1, c.embed_dim)))
-        self.pos_embed = param(_trunc_normal(rng, (1, t, c.embed_dim)))
-        self.layers = []
-        for _ in range(c.depth):
-            layer = {
-                "ln1_g": param(np.ones(c.embed_dim)),
-                "ln1_b": param(np.zeros(c.embed_dim)),
-                "w_qkv": param(_trunc_normal(rng, (c.embed_dim, 3 * c.embed_dim))),
-                "b_qkv": param(np.zeros(3 * c.embed_dim)),
-                "w_proj": param(_trunc_normal(rng, (c.embed_dim, c.embed_dim))),
-                "b_proj": param(np.zeros(c.embed_dim)),
-                "ln2_g": param(np.ones(c.embed_dim)),
-                "ln2_b": param(np.zeros(c.embed_dim)),
-                "w_fc1": param(_trunc_normal(rng, (c.embed_dim, c.hidden_dim))),
-                "b_fc1": param(np.zeros(c.hidden_dim)),
-                "w_fc2": param(_trunc_normal(rng, (c.hidden_dim, c.embed_dim))),
-                "b_fc2": param(np.zeros(c.embed_dim)),
-            }
-            self.layers.append(layer)
-        self.ln_f_g = param(np.ones(c.embed_dim))
-        self.ln_f_b = param(np.zeros(c.embed_dim))
-        self.head_w = param(_trunc_normal(rng, (c.embed_dim, c.num_classes)))
-        self.head_b = param(np.zeros(c.num_classes))
+        shapes = trunk_shapes(c)
+        for name in self.STEM:
+            setattr(self, name, param(name, shapes[name]))
+        self.layers = [{} for _ in range(c.depth)]
+        for i in range(c.num_blocks):
+            btype = c.block_type(i)
+            for key, shape in zip(self.BLOCK_KEYS[btype],
+                                  block_shapes(c, btype, *c.mask_sizes(i).values())):
+                self.layers[i // 2][_layer_key(key, i)] = param(key, shape)
+        for name in self.HEAD:
+            setattr(self, name, param(name, shapes[name]))
 
-    def _block_parameters(self):
-        for layer in self.layers:
-            yield from layer.values()
-
-    # -- forward ----------------------------------------------------------
-
-    def _attn_block(self, x, layer, masks):
-        c = self.config
-        n, t, e = x.shape
-        h = ag.layernorm(x, layer["ln1_g"], layer["ln1_b"])
-        h = ag.mul(h, masks["in"])
-        qkv = ag.add(ag.matmul(ag.reshape(h, (n * t, e)), layer["w_qkv"]), layer["b_qkv"])
-        qkv = ag.reshape(qkv, (n, t, 3, c.heads, c.head_dim))
-        # the same mask instance gates q, k and v in every head
-        qkv = ag.mul(qkv, masks["e"])
-        out = ag.add(ag.matmul(_attention(qkv, c.head_dim), layer["w_proj"]), layer["b_proj"])
-        out = ag.reshape(out, (n, t, e))
-        return ag.mul(out, masks["out"])
-
-    def _mlp_block(self, x, layer, masks):
-        n, t, e = x.shape
-        h = ag.layernorm(x, layer["ln2_g"], layer["ln2_b"])
-        h = ag.mul(h, masks["in"])
-        h = ag.add(ag.matmul(ag.reshape(h, (n * t, e)), layer["w_fc1"]), layer["b_fc1"])
-        h = ag.gelu(h)
-        h = ag.mul(h, masks["hid"])
-        h = ag.add(ag.matmul(h, layer["w_fc2"]), layer["b_fc2"])
-        h = ag.reshape(h, (n, t, e))
-        return ag.mul(h, masks["out"])
+    def block_weights(self, i):
+        """Block i's tensors in ``BLOCK_KEYS`` order."""
+        return [self.layers[i // 2][_layer_key(key, i)]
+                for key in self.BLOCK_KEYS[self.config.block_type(i)]]
 
     def forward(self, images, masks: MaskSet, collect_trace=True):
         """Masked forward pass; returns (logits, per-block trace)."""
         x = self.embed(images)
         trace = []
-        for d, layer in enumerate(self.layers):
-            for sub, fn in ((0, self._attn_block), (1, self._mlp_block)):
-                i = 2 * d + sub
-                before = x
-                x = ag.add(x, fn(x, layer, masks.blocks[i]))
-                if collect_trace:
-                    trace.append(BlockRecord(i, self.config.block_type(i),
-                                             before.detach(), x.detach()))
+        for i in range(self.config.num_blocks):
+            m_in, m_out, m_inner = masks.blocks[i].values()
+            before = x
+            x = ag.add(x, self._block(x, self.config.block_type(i), self.block_weights(i),
+                                      lambda h: ag.mul(h, m_in), lambda h: ag.mul(h, m_inner),
+                                      lambda h: ag.mul(h, m_out)))
+            if collect_trace:
+                trace.append(BlockRecord(i, self.config.block_type(i),
+                                         before.detach(), x.detach()))
         return self.readout(x), trace
 
     # -- accounting -------------------------------------------------------
@@ -354,14 +370,13 @@ class MaskedVit(_Trunk):
 class CompactVit(_Trunk):
     """Mask-free model produced by deleting sub-threshold channels.
 
-    Per-block channel index lists describe where the (narrower) block
-    output scatters back into the full-width residual stream. Attention
-    keeps the original softmax temperature of the unpruned head width.
+    A block is its type, its kept index list ``{kind}_idx`` for each kind of
+    ``MASK_KINDS[type]`` and its narrowed tensors under ``BLOCK_KEYS``; the
+    index lists alone fix the tensors' widths. The block gathers its input
+    channels from, and scatters its output channels back into, the
+    full-width residual stream. Attention keeps the original softmax
+    temperature of the unpruned head width.
     """
-
-    # weight tensors of a block, in parameter and checkpoint order
-    BLOCK_KEYS = {ATTN: ("ln_g", "ln_b", "w_qkv", "b_qkv", "w_proj", "b_proj"),
-                  MLP: ("ln_g", "ln_b", "w_fc1", "b_fc1", "w_fc2", "b_fc2")}
 
     def __init__(self, config: VitConfig, trunk, blocks, dtype=np.float32):
         """``trunk`` maps every ``STEM`` and ``HEAD`` name to its tensor;
@@ -376,83 +391,47 @@ class CompactVit(_Trunk):
     def from_masked(cls, model: MaskedVit, masks: MaskSet):
         c = model.config
 
-        def clone(t):
-            return Tensor(t.data.copy(), requires_grad=True)
+        def leaf(a):
+            return Tensor(np.array(a, order="C"), requires_grad=True)
 
-        trunk = {name: clone(getattr(model, name)) for name in cls.STEM + cls.HEAD}
+        trunk = {name: leaf(getattr(model, name).data) for name in cls.STEM + cls.HEAD}
+        e = c.embed_dim
         blocks = []
         for i in range(c.num_blocks):
-            layer = model.layers[i // 2]
+            btype = c.block_type(i)
             idx = masks.kept_indices(i)
             for kind, kept in idx.items():
                 if kept.size == 0:
                     raise ValueError(f"block {i} mask '{kind}' compacted to zero channels")
-            b = {"type": c.block_type(i), "in_idx": idx["in"], "out_idx": idx["out"]}
-            if b["type"] == ATTN:
-                e, h, d = c.embed_dim, c.heads, c.head_dim
-                ei = idx["e"]
-                b["e_idx"] = ei
-                w4 = layer["w_qkv"].data.reshape(e, 3, h, d)
-                b["w_qkv"] = Tensor(np.ascontiguousarray(
-                    w4[idx["in"]][:, :, :, ei]).reshape(len(idx["in"]), -1), requires_grad=True)
-                b["b_qkv"] = Tensor(np.ascontiguousarray(
-                    layer["b_qkv"].data.reshape(3, h, d)[:, :, ei]).reshape(-1), requires_grad=True)
-                wp = layer["w_proj"].data.reshape(h, d, e)
-                b["w_proj"] = Tensor(np.ascontiguousarray(
-                    wp[:, ei][:, :, idx["out"]]).reshape(h * len(ei), len(idx["out"])), requires_grad=True)
-                b["b_proj"] = Tensor(layer["b_proj"].data[idx["out"]].copy(), requires_grad=True)
-                b["ln_g"], b["ln_b"] = clone(layer["ln1_g"]), clone(layer["ln1_b"])
-            else:
-                hi = idx["hid"]
-                b["hid_idx"] = hi
-                b["w_fc1"] = Tensor(np.ascontiguousarray(
-                    layer["w_fc1"].data[idx["in"]][:, hi]), requires_grad=True)
-                b["b_fc1"] = Tensor(layer["b_fc1"].data[hi].copy(), requires_grad=True)
-                b["w_fc2"] = Tensor(np.ascontiguousarray(
-                    layer["w_fc2"].data[hi][:, idx["out"]]), requires_grad=True)
-                b["b_fc2"] = Tensor(layer["b_fc2"].data[idx["out"]].copy(), requires_grad=True)
-                b["ln_g"], b["ln_b"] = clone(layer["ln2_g"]), clone(layer["ln2_b"])
+            i_in, i_out, i_inner = idx.values()
+            # every group of inner channels keeps the same channels
+            g1, g2 = inner_groups(btype, c.heads)
+            ln_g, ln_b, w1, b1, w2, b2 = (t.data for t in model.block_weights(i))
+            w1 = w1.reshape(e, g1, -1)[i_in][:, :, i_inner].reshape(len(i_in), -1)
+            b1 = b1.reshape(g1, -1)[:, i_inner].reshape(-1)
+            w2 = w2.reshape(g2, -1, e)[:, i_inner][:, :, i_out].reshape(-1, len(i_out))
+            b = {"type": btype, **{f"{kind}_idx": kept for kind, kept in idx.items()}}
+            b.update(zip(cls.BLOCK_KEYS[btype], map(leaf, (ln_g, ln_b, w1, b1, w2, b2[i_out]))))
             blocks.append(b)
         return cls(c, trunk, blocks, model.dtype)
 
-    def _block_parameters(self):
-        for b in self.blocks:
-            yield from (b[key] for key in self.BLOCK_KEYS[b["type"]])
+    def block_weights(self, i):
+        b = self.blocks[i]
+        return [b[key] for key in self.BLOCK_KEYS[b["type"]]]
 
     def block_param_counts(self):
+        """Prunable parameters of every block, counted from its index lists."""
         counts = []
         for b in self.blocks:
-            if b["type"] == ATTN:
-                counts.append(b["w_qkv"].size + b["b_qkv"].size + b["w_proj"].size + b["b_proj"].size)
-            else:
-                counts.append(b["w_fc1"].size + b["b_fc1"].size + b["w_fc2"].size + b["b_fc2"].size)
+            kept = (len(b[f"{kind}_idx"]) for kind in MASK_KINDS[b["type"]])
+            counts.append(block_param_count(b["type"], *kept, self.config.heads))
         return np.array(counts)
-
-    def _attn_block(self, x, b):
-        c = self.config
-        n, t, e = x.shape
-        nk = len(b["e_idx"])
-        h = ag.layernorm(x, b["ln_g"], b["ln_b"])
-        h = ag.take_last(h, b["in_idx"])
-        qkv = ag.add(ag.matmul(ag.reshape(h, (n * t, len(b["in_idx"]))), b["w_qkv"]), b["b_qkv"])
-        qkv = ag.reshape(qkv, (n, t, 3, c.heads, nk))
-        o = ag.add(ag.matmul(_attention(qkv, c.head_dim), b["w_proj"]), b["b_proj"])
-        o = ag.reshape(o, (n, t, len(b["out_idx"])))
-        return ag.scatter_last(o, b["out_idx"], e)
-
-    def _mlp_block(self, x, b):
-        n, t, e = x.shape
-        h = ag.layernorm(x, b["ln_g"], b["ln_b"])
-        h = ag.take_last(h, b["in_idx"])
-        h = ag.add(ag.matmul(ag.reshape(h, (n * t, len(b["in_idx"]))), b["w_fc1"]), b["b_fc1"])
-        h = ag.gelu(h)
-        h = ag.add(ag.matmul(h, b["w_fc2"]), b["b_fc2"])
-        h = ag.reshape(h, (n, t, len(b["out_idx"])))
-        return ag.scatter_last(h, b["out_idx"], e)
 
     def forward(self, images):
         x = self.embed(images)
-        for b in self.blocks:
-            fn = self._attn_block if b["type"] == ATTN else self._mlp_block
-            x = ag.add(x, fn(x, b))
+        e = self.config.embed_dim
+        for i, b in enumerate(self.blocks):
+            x = ag.add(x, self._block(x, b["type"], self.block_weights(i),
+                                      lambda h: ag.take_last(h, b["in_idx"]), lambda h: h,
+                                      lambda h: ag.scatter_last(h, b["out_idx"], e)))
         return self.readout(x)

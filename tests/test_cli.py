@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -47,7 +48,12 @@ BAD_CONFIGS = [
 CORRUPTIONS = ["missing kind", "missing structure", "unknown config key", "zero heads",
                "not json", "header length past header", "missing entry",
                "structure one block short", "structure block type swapped",
-               "structure not a list", "structure item not an object"]
+               "structure not a list", "structure item not an object",
+               "entry without shape", "entries not a list", "offset past the blob",
+               "repeated entry name", "block entry shape swapped", "trunk entry shape swapped",
+               "attention item without e_idx", "index list empty", "index at its width",
+               "negative index", "duplicate index", "unsorted index list",
+               "index list not a list", "index list one short"]
 
 
 def micro_config_file(tmp_path, **extra):
@@ -85,6 +91,37 @@ def corrupted(case, header, blob):
         header["structure"] = 5
     elif case == "structure item not an object":
         header["structure"][1] = 1
+    elif case == "entry without shape":
+        del header["entries"][0]["shape"]
+    elif case == "entries not a list":
+        header["entries"] = 5
+    elif case == "offset past the blob":
+        header["entries"][-1]["offset"] = len(blob)
+    elif case == "repeated entry name":
+        last = header["entries"][-1]
+        header["entries"].append({**last, "offset": last["offset"] + math.prod(last["shape"])})
+        blob = blob + blob[4 * last["offset"]:]
+    elif case in ("block entry shape swapped", "trunk entry shape swapped"):
+        name = "block.0.w_qkv" if case.startswith("block") else "pos_embed"
+        entry = next(e for e in header["entries"] if e["name"] == name)
+        entry["shape"] = entry["shape"][::-1]
+    elif case == "attention item without e_idx":
+        del header["structure"][0]["e_idx"]
+    elif case == "index list empty":
+        header["structure"][0]["e_idx"] = []
+    elif case == "index at its width":  # every channel is kept, so width == length
+        hid = header["structure"][1]["hid_idx"]
+        hid[-1] = len(hid)
+    elif case == "negative index":
+        header["structure"][0]["in_idx"][0] = -1
+    elif case == "duplicate index":
+        header["structure"][0]["out_idx"][1] = 0
+    elif case == "unsorted index list":
+        header["structure"][2]["in_idx"].reverse()
+    elif case == "index list not a list":
+        header["structure"][3]["hid_idx"] = "0-15"
+    elif case == "index list one short":
+        header["structure"][1]["hid_idx"].pop()
     payload = b"{kind: compact}" if case == "not json" else json.dumps(header).encode()
     nbytes = len(payload) + (8 if case == "header length past header" else 0)
     return f"{MAGIC} {nbytes}\n".encode() + payload + blob

@@ -143,21 +143,23 @@ class TestPruningRun:
         cfg, model, masks, heads, sched, train, val = micro_setup()
         model.pos_embed.data[0, 0, 0] = np.nan
         run = PruningRun(model, masks, heads, sched, train, val, cfg)
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError, match=r"^non-finite activations in forward pass "
+                                               r"at step 1; aborting run$"):
             run.run()
         # dense training
         cfg, model, masks, heads, sched, train, val = micro_setup()
         model.pos_embed.data[0, 0, 0] = np.nan
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError, match=r"forward pass in epoch 0; aborting run$"):
             train_dense(model, train, val, cfg, epochs=1)
         # fine-tuning: the first step's update overflows the compact weights
         cfg, model, masks, heads, sched, train, val = micro_setup(finetune=1)
         cfg.optimizer.lr_finetune = 1e30
         metrics = MetricsWriter(None)
         run = PruningRun(model, masks, heads, sched, train, val, cfg, metrics)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError) as info:
             run.run()
         assert run.global_step > sched.pruning_epochs * run.steps_per_epoch + 1
+        assert info.match(rf" at step {run.global_step}; aborting run$")
         assert [r["phase"] for r in metrics.epoch_rows] == [
             sched.phase_of(e) for e in range(sched.pruning_epochs)]
 

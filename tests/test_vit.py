@@ -54,12 +54,16 @@ class TestConfig:
 
 class TestMaskedForward:
     def test_identity_masks_match_compact_full_model(self):
-        model, masks = tiny_model()
-        x = rand_images(3)
-        logits, _ = model.forward(x, masks)
-        compact = CompactVit.from_masked(model, masks)
-        logits_c = compact.forward(x)
-        assert np.allclose(logits.data, logits_c.data, rtol=1e-12, atol=1e-12)
+        # unit masks and full index lists run the same block body on the
+        # same weights, so the logits agree to the bit
+        for dtype in (np.float32, np.float64):
+            model, masks = tiny_model(dtype=dtype)
+            x = rand_images(3, dtype=dtype)
+            logits, _ = model.forward(x, masks)
+            compact = CompactVit.from_masked(model, masks)
+            logits_c = compact.forward(x)
+            assert logits_c.data.dtype == dtype
+            assert np.array_equal(logits.data, logits_c.data)
 
     def test_hidden_mask_scales_second_layer_column(self):
         model, masks = tiny_model()
@@ -278,6 +282,20 @@ class TestCompaction:
         for i in range(TINY.num_blocks):
             _, remaining = model.count_params(masks, i)
             assert counts[i] == remaining
+
+    def test_compact_tensors_are_own_c_order_arrays(self):
+        # fine-tuning trains these arrays in place: each must be C-ordered
+        # and must not share memory with the masked model it came from
+        model, masks = tiny_model()
+        rng = np.random.default_rng(11)
+        for i in range(TINY.num_blocks):
+            masks.set_block(i, {kind: np.where(np.arange(size) == 0, 1.0,
+                                               rng.uniform(0.0, 1.0, size))
+                                for kind, size in TINY.mask_sizes(i).items()})
+        compact = CompactVit.from_masked(model, masks)
+        for p in compact.parameters():
+            assert p.data.flags["C_CONTIGUOUS"]
+            assert not any(np.shares_memory(p.data, q.data) for q in model.parameters())
 
     def test_zero_channel_block_rejected(self):
         model, masks = tiny_model()
