@@ -6,6 +6,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -24,6 +25,7 @@ from .schedule import (MetricsWriter, PruneSchedule, PruningRun, evaluate,
 from .vit import MaskSet, MaskedVit
 
 PROBE_FIELDS = ["checkpoint", "block_index", "block_type", "bp_class", "bp_patch"]
+REPORT_UPDATE_FIELDS = ["step", "block_index", "block_type", "kappa_block", "params_remaining"]
 
 
 def load_datasets(cfg):
@@ -61,6 +63,31 @@ def write_manifest(out_dir, cfg, command):
     write_json(out_dir / "manifest.json", manifest)
 
 
+def read_json_object(path):
+    """A JSON file that must hold an object; DataFormatError (exit 5) otherwise."""
+    with open(path) as fh:
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise DataFormatError(f"{path}: expected a JSON object")
+    return obj
+
+
+def baseline_accuracy(baseline):
+    """``val_acc_final`` of a baseline run directory, or None (with a warning)
+    when it has no summary.json."""
+    path = Path(baseline) / "summary.json"
+    if not path.exists():
+        print(f"warning: baseline summary not found under {baseline}", file=sys.stderr)
+        return None
+    acc = read_json_object(path).get("val_acc_final")
+    if isinstance(acc, bool) or not isinstance(acc, (int, float)) or not math.isfinite(acc):
+        raise DataFormatError(f"{path}: val_acc_final is not a number")
+    return acc
+
+
 def finish_summary(out_dir, summary):
     summary = dict(summary)
     summary["finished"] = time.strftime("%Y-%m-%dT%H:%M:%S")
@@ -92,6 +119,7 @@ def cmd_train(cfg):
 
 
 def cmd_prune(cfg, baseline=None):
+    base_acc = baseline_accuracy(baseline) if baseline else None
     out_dir = Path(cfg.out)
     write_manifest(out_dir, cfg, "prune")
     train_ds, val_ds = load_datasets(cfg)
@@ -108,15 +136,9 @@ def cmd_prune(cfg, baseline=None):
         metrics.flush()
     save_compact(out_dir / "compact-final.ckpt", compact)
     save_masked(out_dir / "masked-final.ckpt", model, masks)
-    if baseline:
-        base_summary = Path(baseline) / "summary.json"
-        if base_summary.exists():
-            with open(base_summary) as fh:
-                base_acc = json.load(fh).get("val_acc_final")
-            summary["baseline_acc"] = base_acc
-            summary["acc_delta_vs_baseline"] = summary["val_acc_final"] - base_acc
-        else:
-            print(f"warning: baseline summary not found under {baseline}", file=sys.stderr)
+    if base_acc is not None:
+        summary["baseline_acc"] = base_acc
+        summary["acc_delta_vs_baseline"] = summary["val_acc_final"] - base_acc
     finish_summary(out_dir, summary)
     print(f"pruning done: keep {summary['keep_ratio_achieved']:.4f} "
           f"(target {summary['keep_ratio_target']}), "
@@ -188,14 +210,12 @@ def cmd_report(run_dir):
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
         raise DataFormatError(f"missing metrics file: {manifest_path}")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    manifest = read_json_object(manifest_path)
     lines = [f"run directory: {run_dir}", f"command: {manifest.get('command')}",
              f"seed: {manifest.get('seed')}"]
     summary_path = run_dir / "summary.json"
     if summary_path.exists():
-        with open(summary_path) as fh:
-            summary = json.load(fh)
+        summary = read_json_object(summary_path)
         for key in ("val_acc_final", "val_acc_masked", "keep_ratio_achieved",
                     "keep_ratio_target", "params_total", "params_remaining",
                     "baseline_acc", "acc_delta_vs_baseline"):
@@ -210,7 +230,11 @@ def cmd_report(run_dir):
     updates_path = run_dir / "updates.csv"
     if updates_path.exists():
         with open(updates_path) as fh:
-            update_rows = list(csv.DictReader(fh))
+            reader = csv.DictReader(fh)
+            update_rows = list(reader)
+        missing = [f for f in REPORT_UPDATE_FIELDS if f not in (reader.fieldnames or ())]
+        if missing:
+            raise DataFormatError(f"{updates_path}: missing columns {', '.join(missing)}")
         if update_rows:
             last_step = update_rows[-1]["step"]
             lines.append("final per-block keep ratios:")

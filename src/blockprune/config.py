@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 import yaml
@@ -131,6 +132,8 @@ class RunConfig:
             raise ConfigError("pruning.mask_ref must be in (0, 1)")
         if p.sharpness <= 0 or p.sharpness_floor <= 0:
             raise ConfigError("sharpness values must be positive")
+        if not 0 <= p.guard_frac <= 1:
+            raise ConfigError("pruning.guard_frac must be in [0, 1]")
         if not 0 <= p.keep_floor <= p.keep_ratio:
             raise ConfigError("pruning.keep_floor must be in [0, keep_ratio]")
         for name in ("epochs_warmup", "epochs_sparsify", "epochs_sharpen",
@@ -164,6 +167,7 @@ def _typed(value, annotation, path):
 
     bool is not taken for an int or a float. A float also takes an int, or a
     string that float() parses, converted: PyYAML reads 1e-3 as a string.
+    A float must be finite.
     """
     kinds = [k.strip() for k in annotation.split("|")]
     if value is None and "None" in kinds:
@@ -171,13 +175,14 @@ def _typed(value, annotation, path):
     kind = kinds[0]
     if isinstance(value, bool):
         ok = kind == "bool"
-    elif kind == "float" and isinstance(value, str):
+    elif kind == "float" and isinstance(value, (int, float, str)):
         try:
-            return float(value)
-        except ValueError:
-            ok = False
-    elif kind == "float":
-        ok = isinstance(value, (int, float))
+            number = float(value)
+        except (ValueError, OverflowError):
+            number = math.nan
+        ok = math.isfinite(number)
+        if isinstance(value, str):
+            value = number
     else:
         ok = isinstance(value, _SCALARS[kind])
     if not ok:

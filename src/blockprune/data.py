@@ -84,6 +84,8 @@ def _read_idx(path, expected_magic):
     if magic != expected_magic:
         raise DataFormatError(f"{path}: bad IDX magic 0x{magic:08x}")
     ndim = magic & 0xFF
+    if len(raw) < 4 + 4 * ndim:
+        raise DataFormatError(f"{path}: truncated IDX header")
     dims = struct.unpack(f">{ndim}I", raw[4:4 + 4 * ndim])
     payload = raw[4 + 4 * ndim:]
     expected = int(np.prod(dims))

@@ -12,6 +12,14 @@ with slope = logit(ref_value). The least important kept element therefore
 sits exactly at 0.5, the element `sharpness * N` ranks above it at
 ref_value, and no element is ever exactly zero, so pruned channels keep
 competing and can be reactivated by a later update.
+
+The per-mask guard keeps at least ``guards[kind]`` elements of every partial
+mask. A mask's top ``guards[kind]`` elements in the order are *protected*;
+the kept set at k is every protected element plus the top ``k - floor``
+elements of the rest, where floor is the sum of the guards. Each +1 in k
+keeps one more element of the rest, so a block's kept parameters at every k
+from the floor to N form one table of running sums, which the planner
+reads instead of rebuilding the masks.
 """
 
 from __future__ import annotations
@@ -83,7 +91,6 @@ class RankedBlockScore:
 
     values: np.ndarray      # normalized score per element
     kinds: np.ndarray       # partial-mask kind per element
-    scales: dict            # per-kind rank scale factor
     sizes: dict             # per-kind element count, in concatenation order
     order: np.ndarray       # elements ascending by (score, mask scale, index)
 
@@ -114,52 +121,35 @@ def normalize_and_concat(scores, scales, kind_order):
     kinds = np.repeat(list(sizes), list(sizes.values()))
     element_scales = np.repeat([scales[kind] for kind in sizes], list(sizes.values()))
     order = np.lexsort((np.arange(values.size), element_scales, values))
-    return RankedBlockScore(values, kinds, dict(scales), sizes, order)
+    return RankedBlockScore(values, kinds, sizes, order)
 
 
 def guard_minimums(sizes, guard_frac=GUARD_FRACTION):
     return {kind: max(1, math.ceil(guard_frac * n)) for kind, n in sizes.items()}
 
 
-def _guard_positions(ranked, k, guards):
-    """Boolean masks over the positions of ``ranked.order`` for keeping k.
-
-    Returns (kind at each position, kept before the guard, promoted,
-    demoted). Each mask short of its guard minimum promotes its top pruned
-    elements; the first ``need`` of the lowest-ranked kept elements of masks
-    with surplus are demoted, where ``need`` is the number promoted.
-    """
+def _protected(ranked, guards):
+    """Boolean mask over the positions of ``ranked.order``: each partial
+    mask's top ``guards[kind]`` elements."""
     kinds = ranked.kinds[ranked.order]
-    n = ranked.total
-    kept = np.arange(n) >= n - k
-    promote = np.zeros(n, dtype=bool)
-    demote = np.zeros(n, dtype=bool)  # first every kept element its mask can spare
-    for kind in ranked.sizes:
-        of_kind = kinds == kind
-        kept_of_kind = np.flatnonzero(of_kind & kept)
-        spare = kept_of_kind.size - guards[kind]
-        if spare < 0:
-            promote[np.flatnonzero(of_kind & ~kept)[spare:]] = True
-        else:
-            demote[kept_of_kind[:spare]] = True
-    need = np.count_nonzero(promote)
-    spare = np.flatnonzero(demote)
-    if spare.size < need:
-        raise ValueError("keep count below the per-mask guard floor")
-    demote[spare[need:]] = False
-    return kinds, kept, promote, demote
+    protected = np.zeros(ranked.total, dtype=bool)
+    for kind, guard in guards.items():
+        of_kind = np.flatnonzero(kinds == kind)
+        protected[of_kind[of_kind.size - guard:]] = True
+    return protected
 
 
 def _guarded_order(ranked, k, guards):
-    """Reorder so every partial mask keeps at least its guard minimum.
-
-    The deficient mask's most important pruned elements move just above the
-    keep boundary; the least important kept elements of masks with surplus
-    move just below it. Relative order is otherwise preserved.
-    """
-    _, kept, promote, demote = _guard_positions(ranked, k, guards)
-    positions = np.concatenate([np.flatnonzero(~kept & ~promote), np.flatnonzero(demote),
-                                np.flatnonzero(promote), np.flatnonzero(kept & ~demote)])
+    """Reorder so the top k elements are the protected ones plus the top
+    ``k - floor`` of the rest; relative order is otherwise preserved."""
+    protected = _protected(ranked, guards)
+    top_rest = k - sum(guards.values())
+    if top_rest < 0:
+        raise ValueError("keep count below the per-mask guard floor")
+    rest = np.flatnonzero(~protected)
+    kept = protected.copy()
+    kept[rest[rest.size - top_rest:]] = True
+    positions = np.concatenate([np.flatnonzero(~kept), np.flatnonzero(kept)])
     return ranked.order[positions]
 
 
@@ -213,56 +203,36 @@ def mask_update(ranked, keep_ratio, sharpness, ref_value=REF_MASK_VALUE,
 # parameter-aware keep-count planning
 
 
-def _counts_at_k(ranked, k, guards):
-    """Per-kind kept counts of ``_guarded_order(ranked, k, guards)``."""
-    kinds, kept, promote, demote = _guard_positions(ranked, k, guards)
-    final = (kept & ~demote) | promote
-    return {kind: int(np.count_nonzero(final & (kinds == kind))) for kind in ranked.sizes}
-
-
-def plan_kept_elements(ranked, geom, target_params, guard_frac=GUARD_FRACTION):
-    """Smallest-error kept-element count whose remaining parameters match target.
-
-    Parameter count grows monotonically with k, so binary search plus a
-    short local scan finds the count whose parameter total is closest to the
-    requested per-block budget (ties resolved upward).
-    """
-    guards = guard_minimums(ranked.sizes, guard_frac)
-    k_min = sum(guards.values())
-    n = ranked.total
-
-    def params_at(k):
-        return geom.params_of_counts(_counts_at_k(ranked, k, guards))
-
-    lo, hi = k_min, n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if params_at(mid) < target_params:
-            lo = mid + 1
-        else:
-            hi = mid
-    best_k, best_err = lo, abs(params_at(lo) - target_params)
-    for k in range(max(k_min, lo - 3), min(n, lo + 3) + 1):
-        err = abs(params_at(k) - target_params)
-        if err < best_err or (err == best_err and k > best_k):
-            best_k, best_err = k, err
-    return best_k
+def _params_by_count(ranked, geom, guards):
+    """Parameters kept at every k from the guard floor to N, as a list
+    indexed by ``k - floor``: each +1 in k keeps the next element of the rest."""
+    kinds = ranked.kinds[ranked.order]
+    added = kinds[~_protected(ranked, guards)][::-1]
+    counts = {kind: guards[kind] + np.concatenate([[0], np.cumsum(added == kind)])
+              for kind in ranked.sizes}
+    return geom.params_of_counts(counts).tolist()
 
 
 def plan_block_budgets(ranked_blocks, geoms, keep_ratios, guard_frac=GUARD_FRACTION):
     """Per-block kept-element counts realizing the global parameter budget.
 
-    Each block is planned against keep_ratio * its total parameters, then the
-    block with the largest parameter budget is stepped one element at a time
-    until the global sum is within one channel quantum of the target.
+    Each block starts at the count whose parameters are closest to
+    keep_ratio * its total (ties resolved upward), then the block with the
+    largest parameter budget is stepped one element at a time until the
+    global sum is within one channel quantum of the target.
     """
-    guards = [guard_minimums(r.sizes, guard_frac) for r in ranked_blocks]
+    floors, tables, ks = [], [], []
     targets = [kr * g.total_params for kr, g in zip(keep_ratios, geoms)]
-    ks = [plan_kept_elements(r, g, t, guard_frac)
-          for r, g, t in zip(ranked_blocks, geoms, targets)]
+    for r, g, target in zip(ranked_blocks, geoms, targets):
+        guards = guard_minimums(r.sizes, guard_frac)
+        table = _params_by_count(r, g, guards)
+        err = np.abs(np.asarray(table) - target)
+        floors.append(sum(guards.values()))
+        tables.append(table)
+        ks.append(r.total - int(np.argmin(err[::-1])))  # reversed: a tie takes the larger k
 
     def params_at(i, k):
-        return geoms[i].params_of_counts(_counts_at_k(ranked_blocks[i], k, guards[i]))
+        return tables[i][k - floors[i]]
 
     achieved = [params_at(i, ks[i]) for i in range(len(geoms))]
     global_target = sum(targets)
@@ -273,7 +243,7 @@ def plan_block_budgets(ranked_blocks, geoms, keep_ratios, guard_frac=GUARD_FRACT
         for i in by_budget:
             step = -1 if err > 0 else 1
             k_new = ks[i] + step
-            if k_new < sum(guards[i].values()) or k_new > ranked_blocks[i].total:
+            if k_new < floors[i] or k_new > ranked_blocks[i].total:
                 continue
             p_new = params_at(i, k_new)
             if abs(err - achieved[i] + p_new) < abs(err):

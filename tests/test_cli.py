@@ -41,6 +41,13 @@ BAD_CONFIGS = [
     {"data": {"noise": -1.0}},
     {"schedule": {"probe_epochs": -1}},
     {"schedule": {"checkpoint_every": -1}},
+    {"pruning": {"guard_frac": math.nan}},
+    {"pruning": {"guard_frac": 1.5}},
+    {"pruning": {"guard_frac": -0.1}},
+    {"pruning": {"sharpness": math.nan}},
+    {"pruning": {"sharpness_floor": math.inf}},
+    {"pruning": {"scale_in": math.nan}},
+    {"pruning": {"scale_in": "nan"}},
 ]
 
 # ways to break a compact checkpoint's header; each ended in a traceback or
@@ -297,6 +304,17 @@ class TestCommands:
             summary = json.load(fh)
         assert "acc_delta_vs_baseline" in summary
 
+    @pytest.mark.parametrize("text", ["{not json", "[0.9]", '{"mode": "dense"}',
+                                      '{"val_acc_final": "0.9"}'])
+    def test_prune_rejects_bad_baseline_before_the_run(self, tmp_path, capsys, text):
+        (tmp_path / "base").mkdir()
+        (tmp_path / "base" / "summary.json").write_text(text)
+        path = micro_config_file(tmp_path, out=str(tmp_path / "pr"))
+        code = cli.main(["prune", "--config", path, "--baseline", str(tmp_path / "base")])
+        assert code == DataFormatError.exit_code
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not (tmp_path / "pr").exists()
+
     def test_probe_rows_and_determinism(self, tmp_path):
         cfgp = micro_config_file(tmp_path, out=str(tmp_path / "t1"))
         assert cli.main(["train", "--config", cfgp]) == 0
@@ -347,6 +365,18 @@ class TestCommands:
         code = cli.main(["report", str(tmp_path / "nothing")])
         assert code == DataFormatError.exit_code
         assert "manifest.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,text", [("manifest.json", "{not json"),
+                                           ("manifest.json", "[]"),
+                                           ("summary.json", "{not json"),
+                                           ("summary.json", '"done"'),
+                                           ("updates.csv", "a,b\n1,2\n")])
+    def test_report_rejects_malformed_files(self, tmp_path, capsys, name, text):
+        (tmp_path / "manifest.json").write_text('{"command": "probe", "seed": 0}')
+        (tmp_path / name).write_text(text)
+        assert cli.main(["report", str(tmp_path)]) == DataFormatError.exit_code
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and name in err[0]
 
     def test_eval_checkpoint(self, tmp_path, capsys, monkeypatch):
         cfgp = micro_config_file(tmp_path, out=str(tmp_path / "t4"))

@@ -87,6 +87,15 @@ class TestIdxLoader:
         with pytest.raises(DataFormatError):
             load_idx(ipath, str(short))
 
+    def test_truncated_header(self, tmp_path):
+        # magic 0x803 announces three dimension words; none follow
+        p = tmp_path / "short.idx"
+        p.write_bytes(struct.pack(">II", 0x00000803, 2))
+        lp = tmp_path / "l.idx"
+        lp.write_bytes(struct.pack(">II", 0x00000801, 2) + b"\x00\x00")
+        with pytest.raises(DataFormatError, match="truncated IDX header"):
+            load_idx(str(p), str(lp))
+
     def test_truncated_payload(self, tmp_path):
         p = tmp_path / "trunc.idx"
         p.write_bytes(struct.pack(">IIII", 0x00000803, 2, 4, 4) + b"\x00" * 10)

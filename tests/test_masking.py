@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from blockprune.errors import NumericError
-from blockprune.masking import (BlockGeometry, TaylorAccumulator,
+from blockprune.masking import (BlockGeometry, TaylorAccumulator, _guarded_order,
                                 guard_minimums, mask_update, normalize_and_concat,
-                                plan_block_budgets, plan_kept_elements, taylor_score)
+                                plan_block_budgets, taylor_score)
 from blockprune.vit import ATTN, MLP, block_param_count
 
 LN9 = math.log(9.0)
@@ -72,11 +72,8 @@ class TestNormalizeAndConcat:
     def test_zero_scale_ranks_below_everything(self):
         scores = {"in": np.arange(4.0) + 1, "out": np.arange(4.0) + 1}
         ranked = normalize_and_concat(scores, {"in": 0.0, "out": 1.0}, ("in", "out"))
-        order = np.lexsort((np.arange(8),
-                            np.array([ranked.scales[k] for k in ranked.kinds]),
-                            ranked.values))
         # all four zero-scaled elements occupy the lowest ranks
-        assert set(order[:4]) == {0, 1, 2, 3}
+        assert set(ranked.order[:4]) == {0, 1, 2, 3}
 
     def test_empty_mask_rejected(self):
         with pytest.raises(ValueError):
@@ -183,13 +180,19 @@ def ranked_for(geom, rng):
     return normalize_and_concat(scores, scales, tuple(geom.sizes))
 
 
+def kept_params(ranked, geom, k):
+    """Parameters of the kinds ``_guarded_order`` keeps at k."""
+    order = _guarded_order(ranked, k, guard_minimums(ranked.sizes))
+    kept = ranked.kinds[order[ranked.total - k:]]
+    return geom.params_of_counts({kind: np.count_nonzero(kept == kind) for kind in geom.sizes})
+
+
 class TestParameterPlanning:
     def test_full_budget_keeps_everything(self):
         rng = np.random.default_rng(5)
         geom = geometry(ATTN)
         ranked = ranked_for(geom, rng)
-        k = plan_kept_elements(ranked, geom, geom.total_params)
-        assert k == ranked.total
+        assert plan_block_budgets([ranked], [geom], [1.0]) == [ranked.total]
 
     def test_attention_param_formula(self):
         assert block_param_count(ATTN, 64, 64, 16, 4) == 16640
@@ -201,13 +204,10 @@ class TestParameterPlanning:
         for geom in (geometry(ATTN), geometry(MLP)):
             ranked = ranked_for(geom, rng)
             target = 0.5 * geom.total_params
-            k = plan_kept_elements(ranked, geom, target)
-            from blockprune.masking import _counts_at_k
-            counts = _counts_at_k(ranked, k, guard_minimums(ranked.sizes))
-            got = geom.params_of_counts(counts)
+            (k,) = plan_block_budgets([ranked], [geom], [0.5])
+            got = kept_params(ranked, geom, k)
             # within one element's parameter step of the target
-            step = geom.params_of_counts(
-                _counts_at_k(ranked, min(k + 1, ranked.total), guard_minimums(ranked.sizes))) - got
+            step = kept_params(ranked, geom, min(k + 1, ranked.total)) - got
             assert abs(got - target) <= max(step, 600)
 
     def test_global_budget_within_quantum(self):
@@ -216,10 +216,7 @@ class TestParameterPlanning:
         ranked = [ranked_for(g, rng) for g in geoms]
         for kr in (0.3, 0.5, 0.7):
             ks = plan_block_budgets(ranked, geoms, [kr] * len(geoms))
-            from blockprune.masking import _counts_at_k
-            achieved = sum(
-                g.params_of_counts(_counts_at_k(r, k, guard_minimums(r.sizes)))
-                for g, r, k in zip(geoms, ranked, ks))
+            achieved = sum(kept_params(r, g, k) for g, r, k in zip(geoms, ranked, ks))
             total = sum(g.total_params for g in geoms)
             quantum = max(3 * g.heads * g.sizes[g.inner_kind] + 1 for g in geoms)
             assert abs(achieved - kr * total) <= quantum

@@ -10,8 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from blockprune import autograd as ag
 from blockprune.autograd import Tensor
 from blockprune.budget import allocate, block_importance
-from blockprune.masking import (_guarded_order, guard_minimums, mask_update,
-                                normalize_and_concat)
+from blockprune.masking import (BlockGeometry, _guarded_order, _params_by_count,
+                                guard_minimums, mask_update, normalize_and_concat)
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False,
                    allow_infinity=False)
@@ -137,6 +137,22 @@ def guard_instance(draw):
     return ranked, draw(st.integers(0, ranked.total)), guards
 
 
+@st.composite
+def planned_block(draw):
+    """An attention or MLP block with tied scores, per-mask scales and a
+    guard fraction."""
+    inner = draw(st.sampled_from(["e", "hid"]))
+    geom = BlockGeometry("attn" if inner == "e" else "mlp",
+                         {kind: draw(st.integers(1, 30)) for kind in ("in", "out", inner)},
+                         draw(st.integers(1, 4)))
+    scores = {kind: np.array(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)),
+                             dtype=float) for kind, n in geom.sizes.items()}
+    scales = {kind: draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])) for kind in geom.sizes}
+    ranked = normalize_and_concat(scores, scales, tuple(geom.sizes))
+    guards = guard_minimums(geom.sizes, draw(st.sampled_from([0.05, 0.2, 0.5, 1.0])))
+    return ranked, geom, guards
+
+
 class TestGuardProperties:
     @settings(max_examples=300, deadline=None)
     @given(guard_instance())
@@ -156,6 +172,28 @@ class TestGuardProperties:
         plain_kept = ranked.kinds[ranked.order[n - k:]]
         if all(np.count_nonzero(plain_kept == kind) >= g for kind, g in guards.items()):
             assert np.array_equal(order, ranked.order)
+
+    @settings(max_examples=200, deadline=None)
+    @given(planned_block())
+    def test_kept_set_and_parameter_table(self, inst):
+        """At every k from the floor to N the kept set is each mask's top
+        guard elements plus the top k - floor of the rest, and the table
+        holds the parameters of those kept kinds."""
+        ranked, geom, guards = inst
+        n, floor = ranked.total, sum(guards.values())
+        by_rank = list(ranked.order)
+        protected = set()
+        for kind, guard in guards.items():
+            protected |= set([i for i in by_rank if ranked.kinds[i] == kind][-guard:])
+        rest = [i for i in by_rank if i not in protected]
+        table = _params_by_count(ranked, geom, guards)
+        assert len(table) == n - floor + 1
+        for k in range(floor, n + 1):
+            kept = _guarded_order(ranked, k, guards)[n - k:]
+            assert set(kept) == protected | set(rest[len(rest) - (k - floor):])
+            counts = {kind: int(np.count_nonzero(ranked.kinds[kept] == kind))
+                      for kind in geom.sizes}
+            assert table[k - floor] == geom.params_of_counts(counts)
 
 
 class TestAutogradProperties:
