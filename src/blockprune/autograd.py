@@ -12,6 +12,7 @@ backward rule reduces to summing the leading/size-1 axes back out.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from contextlib import contextmanager
 
@@ -23,6 +24,42 @@ DEFAULT_DTYPE = np.float32
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
+
+_M_TRIM_THRESHOLD = -1  # glibc malloc.h
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_large_temporaries_in_heap():
+    """Serve allocations up to 32 MiB from the heap and keep freed heap memory.
+
+    glibc gives each allocation above its mmap threshold pages of its own and
+    unmaps them on free, so every fresh forward temporary of a few MiB
+    (activations at batch 256) faults its pages in again; the heap reuses
+    pages it already holds. numpy asks the kernel to back every array of
+    4 MiB or more with huge pages; on a reused heap that advice marks
+    scattered heap ranges, which the kernel collapses into huge pages in the
+    background at times of its own, and the same forward then runs at a speed
+    that changes from run to run. With the heap in use, numpy's advice is
+    switched off. Returns False where the C library has no ``mallopt`` (not
+    glibc), leaving the allocator and numpy as they are.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if not (mallopt(_M_MMAP_THRESHOLD, 32 << 20) == 1
+            and mallopt(_M_TRIM_THRESHOLD, 1 << 30) == 1):
+        return False
+    core = getattr(np, "_core", None) or np.core  # numpy 2 / numpy 1.x
+    advise = getattr(core.multiarray, "_set_madvise_hugepage", None)
+    if advise is not None:
+        advise(False)
+    return True
+
+
+_keep_large_temporaries_in_heap()
 
 
 class Tape:
@@ -243,6 +280,24 @@ def matmul(a, b):
             _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     return _out(data, (a, b), bwd)
+
+
+def linear(x, w, b):
+    """``x @ w + b`` for a 2-D ``x``, with the bias added in place."""
+    if x.ndim != 2 or w.ndim != 2 or b.shape != w.shape[1:] or x.shape[1] != w.shape[0]:
+        raise ValueError(f"linear expects (n, i) x (i, o) + (o,): {x.shape} {w.shape} {b.shape}")
+    data = x.data @ w.data
+    data += b.data
+
+    def bwd(g):
+        if x.requires_grad:
+            _accum(x, g @ w.data.T)
+        if w.requires_grad:
+            _accum(w, x.data.T @ g)
+        if b.requires_grad:
+            _accum(b, g.sum(axis=0))
+
+    return _out(data, (x, w, b), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +532,7 @@ def tsum(x):
 def take_last(x, idx):
     """Gather channels of the last axis (compacted-model column read)."""
     idx = np.asarray(idx, dtype=np.int64)
-    data = np.ascontiguousarray(x.data[..., idx])
+    data = np.take(x.data, idx, axis=-1)
 
     def bwd(g):
         full = np.zeros_like(x.data)
@@ -526,6 +581,8 @@ def conv2d_3x3(x, kernel):
     def bwd(g):
         gf = g.reshape(n * h * w, cout)
         _accum(kernel, (flat.T @ gf).reshape(3, 3, c, cout))
+        if not x.requires_grad:
+            return
         dcols = (gf @ kmat.T).reshape(n, h, w, 9 * c)
         dxp = np.zeros_like(xp)
         for dy in range(3):

@@ -72,7 +72,7 @@ class BpiHeads:
         n = x.shape[0]
         cls = ag.reshape(ag.slice_axis(x, 1, 0, 1), (n, self.config.embed_dim))
         h = self.class_heads[i]
-        return ag.add(ag.matmul(cls, h["w"]), h["b"])
+        return ag.linear(cls, h["w"], h["b"])
 
     def _patch_logits(self, i, x):
         n, _, e = x.shape
@@ -90,7 +90,7 @@ class BpiHeads:
             h = ag.layernorm(h, ph["ln2_g"], ph["ln2_b"])
             h = ag.gelu(ag.add(grid, h))
             pooled = ag.mean(h, axis=(1, 2))
-        return ag.add(ag.matmul(pooled, ph["w"]), ph["b"])
+        return ag.linear(pooled, ph["w"], ph["b"])
 
     # -- measurement ---------------------------------------------------------
 

@@ -75,6 +75,23 @@ def read_json_object(path):
     return obj
 
 
+def is_number(value):
+    """A finite JSON number; a bool is not one."""
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+
+
+def read_csv_rows(path, fields):
+    """Rows of a CSV file that must have ``fields`` among its columns;
+    DataFormatError (exit 5) otherwise."""
+    with open(path) as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    missing = [f for f in fields if f not in (reader.fieldnames or ())]
+    if missing:
+        raise DataFormatError(f"{path}: missing columns {', '.join(missing)}")
+    return rows
+
+
 def baseline_accuracy(baseline):
     """``val_acc_final`` of a baseline run directory, or None (with a warning)
     when it has no summary.json."""
@@ -83,7 +100,7 @@ def baseline_accuracy(baseline):
         print(f"warning: baseline summary not found under {baseline}", file=sys.stderr)
         return None
     acc = read_json_object(path).get("val_acc_final")
-    if isinstance(acc, bool) or not isinstance(acc, (int, float)) or not math.isfinite(acc):
+    if not is_number(acc):
         raise DataFormatError(f"{path}: val_acc_final is not a number")
     return acc
 
@@ -222,19 +239,18 @@ def cmd_report(run_dir):
             if key in summary:
                 lines.append(f"{key}: {summary[key]}")
         if "params_total" in summary and "params_remaining" in summary:
-            reduction = 1 - summary["params_remaining"] / summary["params_total"]
+            total, remaining = summary["params_total"], summary["params_remaining"]
+            if not (is_number(total) and is_number(remaining)) or total == 0:
+                raise DataFormatError(f"{summary_path}: params_total and params_remaining "
+                                      "must be numbers, params_total not 0")
+            reduction = 1 - remaining / total
             lines.append(f"parameter_reduction: {reduction:.4f}")
     metrics_path = run_dir / "metrics.csv"
     if manifest.get("command") in ("train", "prune") and not metrics_path.exists():
         raise DataFormatError(f"missing metrics file: {metrics_path}")
     updates_path = run_dir / "updates.csv"
     if updates_path.exists():
-        with open(updates_path) as fh:
-            reader = csv.DictReader(fh)
-            update_rows = list(reader)
-        missing = [f for f in REPORT_UPDATE_FIELDS if f not in (reader.fieldnames or ())]
-        if missing:
-            raise DataFormatError(f"{updates_path}: missing columns {', '.join(missing)}")
+        update_rows = read_csv_rows(updates_path, REPORT_UPDATE_FIELDS)
         if update_rows:
             last_step = update_rows[-1]["step"]
             lines.append("final per-block keep ratios:")
@@ -244,9 +260,10 @@ def cmd_report(run_dir):
                                  f"kappa {row['kappa_block']}, params {row['params_remaining']}")
     probe_path = run_dir / "probe.csv"
     if probe_path.exists():
-        with open(probe_path) as fh:
-            rows = list(csv.DictReader(fh))
-        tables = _normalized_tables(rows)
+        try:
+            tables = _normalized_tables(read_csv_rows(probe_path, PROBE_FIELDS))
+        except ValueError:
+            raise DataFormatError(f"{probe_path}: bp_class and bp_patch must be numbers") from None
         for flavor, table in tables.items():
             out = run_dir / f"probe_norm_{flavor}.csv"
             write_csv(out, PROBE_FIELDS, table)

@@ -34,7 +34,10 @@ from .vit import BlockGeometry  # noqa: F401  (masking.BlockGeometry is public)
 
 REF_MASK_VALUE = 0.9
 GUARD_FRACTION = 0.05     # minimum kept share per partial mask
-MIN_MASK_VALUE = 1e-38    # keeps float32 storage strictly positive
+# floor of a mask value: strictly positive and a normal float32 (the
+# smallest is 1.18e-38), as is the product of two floors and a factor of 1e-6,
+# so no mask or gated weight is stored as a slow subnormal
+MIN_MASK_VALUE = 1e-12
 
 
 def taylor_score(mask_value, grad):

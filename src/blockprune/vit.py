@@ -10,9 +10,13 @@ Both models share one trunk (``_Trunk``): the patch embedding, class token
 and position embedding before the blocks, the one attention/MLP block body
 (``_Trunk._block``), and the readout (final layernorm, class token, head)
 after them. Pruning never narrows the trunk. The masked and the compact
-model differ only in how a block selects channels: the masked model
-multiplies by its masks, the compact model gathers and scatters by its kept
-index lists.
+model differ only in the weights they hand the block body: every channel
+gate sits on the weights, not on the activations. The masked model folds its
+masks into the rows and columns of the projections, so a mask costs a
+weight-sized multiply whatever the batch; the compact model widens its
+narrowed output projection back to full width with zero columns, so its
+delta adds straight into the residual stream, and gathers only its kept
+input channels.
 """
 
 from __future__ import annotations
@@ -254,7 +258,7 @@ class _Trunk:
         x = ag.reshape(images, (n, g, c.patch_size, g, c.patch_size, c.channels))
         x = ag.transpose(x, (0, 1, 3, 2, 4, 5))
         x = ag.reshape(x, (n * g * g, c.patch_size * c.patch_size * c.channels))
-        x = ag.add(ag.matmul(x, self.patch_w), self.patch_b)
+        x = ag.linear(x, self.patch_w, self.patch_b)
         x = ag.reshape(x, (n, g * g, c.embed_dim))
         cls = ag.repeat_axis0(self.cls_token, n)
         x = ag.concat([cls, x], axis=1)
@@ -264,33 +268,30 @@ class _Trunk:
         """Logits from the class token of the final residual stream."""
         x = ag.layernorm(x, self.ln_f_g, self.ln_f_b)
         cls = ag.reshape(ag.slice_axis(x, 1, 0, 1), (x.shape[0], self.config.embed_dim))
-        logits = ag.add(ag.matmul(cls, self.head_w), self.head_b)
+        logits = ag.linear(cls, self.head_w, self.head_b)
         if not np.all(np.isfinite(logits.data)):
             raise NumericError("non-finite activations in forward pass")
         return logits
 
-    def _block(self, x, block_type, weights, read, inner, write):
-        """Residual delta of one attention or MLP block.
+    def _block(self, x, block_type, weights, read):
+        """Full-width residual delta of one attention or MLP block.
 
-        ``weights`` are the block's six tensors in ``BLOCK_KEYS`` order.
-        ``read`` selects the block's input channels from the layernormed
-        stream, ``inner`` its per-head q/k/v or hidden channels, and
-        ``write`` places its output channels in the full-width stream. Every
-        width comes from the tensors, so one body serves full-width and
-        narrowed blocks.
+        ``weights`` are the block's six tensors in ``BLOCK_KEYS`` order with
+        every channel gate already applied, the output projection at full
+        width. ``read`` selects the block's input channels from the
+        layernormed stream. The input and inner widths come from the
+        tensors, so one body serves full-width and narrowed blocks.
         """
         c = self.config
         n, t, _ = x.shape
         ln_g, ln_b, w1, b1, w2, b2 = weights
         h = read(ag.layernorm(x, ln_g, ln_b))
-        h = ag.add(ag.matmul(ag.reshape(h, (n * t, h.shape[-1])), w1), b1)
+        h = ag.linear(ag.reshape(h, (n * t, h.shape[-1])), w1, b1)
         if block_type == ATTN:
-            # one inner selection gates q, k and v in every head
-            h = _attention(inner(ag.reshape(h, (n, t, 3, c.heads, -1))), c.head_dim)
+            h = _attention(ag.reshape(h, (n, t, 3, c.heads, -1)), c.head_dim)
         else:
-            h = inner(ag.gelu(h))
-        h = ag.add(ag.matmul(h, w2), b2)
-        return write(ag.reshape(h, (n, t, h.shape[-1])))
+            h = ag.gelu(h)
+        return ag.reshape(ag.linear(h, w2, b2), (n, t, -1))
 
 
 def _layer_key(key, i):
@@ -334,16 +335,33 @@ class MaskedVit(_Trunk):
         return [self.layers[i // 2][_layer_key(key, i)]
                 for key in self.BLOCK_KEYS[self.config.block_type(i)]]
 
+    def gated_weights(self, i, masks: MaskSet):
+        """Block i's tensors with its masks folded in: ``in`` scales the rows
+        of the first projection; ``e`` the q/k/v columns of every head in the
+        first projection and its bias, or ``hid`` the rows of the second
+        projection; ``out`` the columns of the second projection and its bias.
+        """
+        btype = self.config.block_type(i)
+        ln_g, ln_b, w1, b1, w2, b2 = self.block_weights(i)
+        m_in, m_out, m_inner = masks.blocks[i].values()
+        w1 = ag.mul(w1, ag.reshape(m_in, (-1, 1)))
+        if btype == ATTN:
+            # one e gate scales q, k and v of every head
+            g1, _ = inner_groups(btype, self.config.heads)
+            w1 = ag.reshape(ag.mul(ag.reshape(w1, (-1, g1, m_inner.shape[0])), m_inner), w1.shape)
+            b1 = ag.reshape(ag.mul(ag.reshape(b1, (g1, -1)), m_inner), b1.shape)
+        else:
+            w2 = ag.mul(w2, ag.reshape(m_inner, (-1, 1)))
+        return [ln_g, ln_b, w1, b1, ag.mul(w2, m_out), ag.mul(b2, m_out)]
+
     def forward(self, images, masks: MaskSet, collect_trace=True):
         """Masked forward pass; returns (logits, per-block trace)."""
         x = self.embed(images)
         trace = []
         for i in range(self.config.num_blocks):
-            m_in, m_out, m_inner = masks.blocks[i].values()
             before = x
-            x = ag.add(x, self._block(x, self.config.block_type(i), self.block_weights(i),
-                                      lambda h: ag.mul(h, m_in), lambda h: ag.mul(h, m_inner),
-                                      lambda h: ag.mul(h, m_out)))
+            x = ag.add(x, self._block(x, self.config.block_type(i), self.gated_weights(i, masks),
+                                      lambda h: h))
             if collect_trace:
                 trace.append(BlockRecord(i, self.config.block_type(i),
                                          before.detach(), x.detach()))
@@ -373,9 +391,11 @@ class CompactVit(_Trunk):
     A block is its type, its kept index list ``{kind}_idx`` for each kind of
     ``MASK_KINDS[type]`` and its narrowed tensors under ``BLOCK_KEYS``; the
     index lists alone fix the tensors' widths. The block gathers its input
-    channels from, and scatters its output channels back into, the
-    full-width residual stream. Attention keeps the original softmax
-    temperature of the unpruned head width.
+    channels from the full-width residual stream; its output projection and
+    bias are scattered to full width, zero outside ``out_idx``, so its delta
+    adds into the stream as it is. Checkpoints keep the narrow tensors.
+    Attention keeps the original softmax temperature of the unpruned head
+    width.
     """
 
     def __init__(self, config: VitConfig, trunk, blocks, dtype=np.float32):
@@ -431,7 +451,9 @@ class CompactVit(_Trunk):
         x = self.embed(images)
         e = self.config.embed_dim
         for i, b in enumerate(self.blocks):
-            x = ag.add(x, self._block(x, b["type"], self.block_weights(i),
-                                      lambda h: ag.take_last(h, b["in_idx"]), lambda h: h,
-                                      lambda h: ag.scatter_last(h, b["out_idx"], e)))
+            ln_g, ln_b, w1, b1, w2, b2 = self.block_weights(i)
+            weights = (ln_g, ln_b, w1, b1, ag.scatter_last(w2, b["out_idx"], e),
+                       ag.scatter_last(b2, b["out_idx"], e))
+            x = ag.add(x, self._block(x, b["type"], weights,
+                                      lambda h: ag.take_last(h, b["in_idx"])))
         return self.readout(x)

@@ -1,3 +1,4 @@
+import ctypes
 import math
 
 import numpy as np
@@ -36,6 +37,35 @@ class TestMatmul:
         a = tensor64(rng.normal(size=(2, 3, 4)))
         b = tensor64(rng.normal(size=(2, 4, 3)))
         check_gradients(lambda: ag.tsum(ag.matmul(a, b)), [a, b])
+
+    def test_linear_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(15)
+        x = tensor64(rng.normal(size=(5, 4)))
+        w = tensor64(rng.normal(size=(4, 3)))
+        b = tensor64(rng.normal(size=3))
+        r = tensor64(rng.normal(size=(5, 3)), requires_grad=False)
+        check_gradients(lambda: ag.tsum(ag.mul(ag.linear(x, w, b), r)), [x, w, b])
+        with pytest.raises(ValueError):
+            ag.linear(x, w, tensor64(np.ones(4)))
+
+
+class TestHeap:
+    def test_applied_on_glibc(self):
+        try:
+            ctypes.CDLL(None).mallopt
+        except (OSError, AttributeError, TypeError):
+            pytest.skip("the C library has no mallopt")
+        assert ag._keep_large_temporaries_in_heap() is True
+        core = getattr(np, "_core", None) or np.core
+        # the setter returns the previous setting: numpy's huge-page advice is off
+        assert core.multiarray._set_madvise_hugepage(False) is False
+
+    def test_missing_c_library_is_skipped(self, monkeypatch):
+        def no_library(*args, **kwargs):
+            raise OSError("no C library")
+
+        monkeypatch.setattr(ctypes, "CDLL", no_library)
+        assert ag._keep_large_temporaries_in_heap() is False
 
 
 class TestElementwise:
@@ -168,6 +198,11 @@ class TestConv:
         x = tensor64(rng.normal(size=(2, 4, 4, 2)))
         k = tensor64(rng.normal(size=(3, 3, 2, 3)))
         check_gradients(lambda: ag.tsum(ag.conv2d_3x3(x, k)), [x, k])
+        # a detached input, as the first conv of a probe reads
+        r = tensor64(rng.normal(size=(2, 4, 4, 3)), requires_grad=False)
+        x.requires_grad, x.grad = False, None
+        check_gradients(lambda: ag.tsum(ag.mul(ag.conv2d_3x3(x, k), r)), [k])
+        assert x.grad is None
 
 
 class TestShapeOps:
@@ -208,6 +243,15 @@ class TestShapeOps:
             return ag.tsum(ag.scatter_last(y, np.array([1, 3, 6]), 8))
 
         check_gradients(f, [x])
+        # a narrowed weight and bias widened to full width, as the compact model does
+        r = tensor64(rng.normal(size=(4, 8)), requires_grad=False)
+        for shape in ((4, 3), (3,)):
+            t = tensor64(rng.normal(size=shape))
+            wide = ag.scatter_last(t, np.array([1, 3, 6]), 8)
+            assert wide.shape == shape[:-1] + (8,)
+            assert np.all(np.delete(wide.data, [1, 3, 6], axis=-1) == 0.0)
+            check_gradients(lambda: ag.tsum(ag.mul(ag.scatter_last(t, np.array([1, 3, 6]), 8),
+                                                   r)), [t])
 
     def test_mean_axis_gradients(self):
         rng = np.random.default_rng(14)

@@ -370,7 +370,14 @@ class TestCommands:
                                            ("manifest.json", "[]"),
                                            ("summary.json", "{not json"),
                                            ("summary.json", '"done"'),
-                                           ("updates.csv", "a,b\n1,2\n")])
+                                           ("updates.csv", "a,b\n1,2\n"),
+                                           ("probe.csv", "a,b\n1,2\n"),
+                                           ("probe.csv", ",".join(cli.PROBE_FIELDS)
+                                            + "\nc.ckpt,1,attn,abc,0.5\n"),
+                                           ("summary.json",
+                                            '{"params_total": "10", "params_remaining": 5}'),
+                                           ("summary.json",
+                                            '{"params_total": 0, "params_remaining": 0}')])
     def test_report_rejects_malformed_files(self, tmp_path, capsys, name, text):
         (tmp_path / "manifest.json").write_text('{"command": "probe", "seed": 0}')
         (tmp_path / name).write_text(text)

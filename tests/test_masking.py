@@ -6,7 +6,7 @@ import pytest
 from blockprune.errors import NumericError
 from blockprune.masking import (BlockGeometry, TaylorAccumulator, _guarded_order,
                                 guard_minimums, mask_update, normalize_and_concat,
-                                plan_block_budgets, taylor_score)
+                                plan_block_budgets, taylor_score, values_from_order)
 from blockprune.vit import ATTN, MLP, block_param_count
 
 LN9 = math.log(9.0)
@@ -118,6 +118,13 @@ class TestMaskUpdate:
         vals = mask_update(ranked, 0.5, sharpness=5e-3)["hid"]
         non_boundary = vals[np.abs(vals - 0.5) > 1e-12]
         assert np.all((non_boundary < 0.02) | (non_boundary > 0.98))
+
+    def test_no_subnormal_mask_values(self):
+        # subnormal float32 values make every product with them slow
+        order = np.random.default_rng(4).permutation(4096)
+        for k in (1, 2048, 4095):
+            vals = values_from_order(order, k, 5e-3).astype(np.float32)
+            assert np.all(vals >= np.finfo(np.float32).tiny)
 
     def test_invalid_inputs(self):
         ranked = single_mask(np.arange(10.0))

@@ -297,6 +297,27 @@ class TestCompaction:
             assert p.data.flags["C_CONTIGUOUS"]
             assert not any(np.shares_memory(p.data, q.data) for q in model.parameters())
 
+    def test_block_delta_is_zero_outside_out_idx(self, monkeypatch):
+        # the widened output projection must add nothing to pruned channels
+        model, masks = tiny_model(dtype=np.float32)
+        rng = np.random.default_rng(12)
+        for i in range(TINY.num_blocks):
+            masks.set_block(i, {kind: np.where(np.arange(size) == 0, 1.0,
+                                               rng.uniform(0.0, 1.0, size))
+                                for kind, size in TINY.mask_sizes(i).items()})
+        compact = CompactVit.from_masked(model, masks)
+        deltas = []
+        block = CompactVit._block
+        monkeypatch.setattr(CompactVit, "_block",
+                            lambda self, *args: deltas.append(block(self, *args)) or deltas[-1])
+        compact.forward(rand_images(3, dtype=np.float32))
+        assert len(deltas) == TINY.num_blocks
+        for b, delta in zip(compact.blocks, deltas):
+            assert delta.dtype == np.float32 and delta.shape[-1] == TINY.embed_dim
+            assert b["out_idx"].size < TINY.embed_dim
+            assert np.all(np.delete(delta.data, b["out_idx"], axis=-1) == 0.0)
+            assert np.any(delta.data[..., b["out_idx"]] != 0.0)
+
     def test_zero_channel_block_rejected(self):
         model, masks = tiny_model()
         masks.set_block(0, {"e": np.full(TINY.head_dim, 0.01)})

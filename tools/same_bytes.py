@@ -14,18 +14,24 @@ in its own subprocess with that tree alone on ``PYTHONPATH``.
 It then compares the two trees' outputs: every ``.csv`` and ``.ckpt`` file
 and every command's stdout byte for byte, and every ``.json`` file with the
 ``started``, ``finished``, ``runtime_sec`` and ``out`` fields left out. It
-prints one line per file and exits 1 on any difference.
+prints one line per file and exits 1 on any difference. Under each
+differing checkpoint it prints the largest relative difference of a tensor
+(its largest absolute difference over the largest absolute value in
+either tree) and whether the kept sets are equal: the mask elements at 0.5 or
+above of a masked checkpoint, the ``{kind}_idx`` lists of a compact one.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 MICRO = {
@@ -113,6 +119,36 @@ def same(a, b):
     return a.read_bytes() == b.read_bytes()
 
 
+def _checkpoint(path):
+    """(header, {entry name: array}) of a checkpoint file (docs/format.md)."""
+    with open(path, "rb") as fh:
+        header = json.loads(fh.read(int(fh.readline().split()[-1])))
+        blob = np.frombuffer(fh.read(), dtype="<f4").astype(np.float64)
+    return header, {e["name"]: blob[e["offset"]:e["offset"] + math.prod(e["shape"])]
+                    .reshape(e["shape"]) for e in header["entries"]}
+
+
+def _kept_sets(header, tensors):
+    if header["kind"] == "compact":
+        return header["structure"]
+    return {name: (t >= 0.5).tolist() for name, t in tensors.items() if name.startswith("mask.")}
+
+
+def _relative_difference(a, b):
+    scale = max(np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0))
+    return np.max(np.abs(a - b), initial=0.0) / scale if scale else 0.0
+
+
+def checkpoint_difference(a, b):
+    """One line on how two checkpoints differ."""
+    (ha, ta), (hb, tb) = _checkpoint(a), _checkpoint(b)
+    kept = "kept sets equal" if _kept_sets(ha, ta) == _kept_sets(hb, tb) else "kept sets DIFFER"
+    if {k: t.shape for k, t in ta.items()} != {k: t.shape for k, t in tb.items()}:
+        return f"tensor names or shapes differ; {kept}"
+    rel = max(_relative_difference(ta[k], tb[k]) for k in ta)
+    return f"largest relative tensor difference {rel:.3g}; {kept}"
+
+
 def compare(left, right):
     """Print one line per output file; returns the number that differ."""
     names = sorted({p.relative_to(left) for p in left.rglob("*") if p.is_file()}
@@ -128,6 +164,8 @@ def compare(left, right):
             verdict = "identical" if same(a, b) else "DIFFERS"
         differ += verdict != "identical"
         print(f"{verdict:<17} {rel}")
+        if verdict == "DIFFERS" and rel.suffix == ".ckpt":
+            print(f"{'':<17} {checkpoint_difference(a, b)}")
     print(f"{len(names)} files compared, {differ} differ")
     return differ
 
