@@ -10,62 +10,66 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import asdict
+from itertools import accumulate
 
 import numpy as np
 
-from .autograd import Tensor
 from .errors import DataFormatError
-from .vit import (MASK_KINDS, CompactVit, MaskSet, MaskedVit, VitConfig, block_shapes,
-                  trunk_shapes)
+from .vit import MASK_KINDS, CompactVit, MaskSet, MaskedVit, VitConfig, _layer_key
 
 MAGIC = "BLOCKPRUNE-CKPT v1"
 
 
+@contextmanager
+def atomic_open(path, mode="w", **kwargs):
+    """``open`` on a temporary file beside ``path`` that replaces ``path``
+    when the block ends; on an exception the temporary file is removed and
+    ``path`` keeps its old content."""
+    tmp = f"{os.fspath(path)}.tmp"
+    fh = open(tmp, mode, **kwargs)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
-def _trunk_entries(model, block_entries):
-    """(name, tensor) of the stem, then ``block_entries``, then the head."""
+
+def _entries(model, masks=None):
+    """(name, tensor) of every checkpoint entry in file order: the stem, the
+    blocks, the head, then the masks. A block tensor is named
+    ``layer.<i // 2>.<_layer_key(key, i)>`` in a masked file, the one that
+    holds masks, and ``block.<i>.<key>`` in a compact one."""
     for name in model.STEM:
         yield name, getattr(model, name)
-    yield from block_entries
+    for i, b in enumerate(model.blocks):
+        for key in model.BLOCK_KEYS[b["type"]]:
+            yield (f"block.{i}.{key}" if masks is None
+                   else f"layer.{i // 2}.{_layer_key(key, i)}"), b[key]
     for name in model.HEAD:
         yield name, getattr(model, name)
+    if masks is not None:
+        for i, block in enumerate(masks.blocks):
+            for kind, t in block.items():
+                yield f"mask.{i}.{kind}", t
 
 
-def _masked_entries(model: MaskedVit, masks: MaskSet):
-    yield from _trunk_entries(model, ((f"layer.{d}.{key}", t)
-                                      for d, layer in enumerate(model.layers)
-                                      for key, t in layer.items()))
-    for i, block in enumerate(masks.blocks):
-        for kind, t in block.items():
-            yield f"mask.{i}.{kind}", t
-
-
-def _compact_entries(model: CompactVit):
-    return _trunk_entries(model, ((f"block.{i}.{key}", b[key])
-                                  for i, b in enumerate(model.blocks)
-                                  for key in model.BLOCK_KEYS[b["type"]]))
-
-
-def _write(path, kind, config, entries, extra=None):
-    names, tensors = zip(*entries)
-    header_entries = []
-    offset = 0
-    for name, t in zip(names, tensors):
-        header_entries.append({"name": name, "shape": list(t.shape), "offset": offset})
-        offset += t.size
-    header = {
-        "kind": kind,
-        "config": asdict(config),
-        "entries": header_entries,
-    }
-    if extra:
-        header["structure"] = extra
+def _write(path, kind, config, entries, structure=None):
+    offsets = accumulate((t.size for _, t in entries), initial=0)
+    header = {"kind": kind, "config": asdict(config),
+              "entries": [{"name": name, "shape": list(t.shape), "offset": offset}
+                          for (name, t), offset in zip(entries, offsets)]}
+    if structure:
+        header["structure"] = structure
     payload = json.dumps(header).encode()
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(f"{MAGIC} {len(payload)}\n".encode())
         fh.write(payload)
-        for t in tensors:
+        for _, t in entries:
             fh.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
 
 
@@ -125,82 +129,71 @@ def _is_entry(e, offset):
             and type(e.get("offset")) is int and e["offset"] == offset)
 
 
-def _entry(path, values, name, shape):
-    if name not in values:
-        raise DataFormatError(f"{path}: missing entry '{name}'")
-    if values[name].shape != tuple(shape):
-        raise DataFormatError(f"{path}: entry '{name}' has shape "
-                              f"{values[name].shape}, expected {tuple(shape)}")
-    return values[name]
-
-
-def _index_list(path, i, kind, idx, width):
-    """Block i's kept ``kind`` channels as an array; ``idx`` must be a
-    non-empty, strictly increasing list of channels in [0, width)."""
-    if not (isinstance(idx, list) and idx and all(type(v) is int for v in idx)
-            and 0 <= idx[0] and idx[-1] < width and all(a < b for a, b in zip(idx, idx[1:]))):
-        raise DataFormatError(f"{path}: structure block {i} '{kind}_idx' is not a sorted "
-                              f"list of distinct channels in [0, {width})")
-    return np.asarray(idx, dtype=np.int64)
+def _structure_masks(path, structure, masks):
+    """Set ``masks`` to 1 on the channels that a compact file's ``structure``
+    keeps and to 0 elsewhere. Each index list must be a non-empty, strictly
+    increasing list of channels in [0, width)."""
+    config = masks.config
+    if not isinstance(structure, list) or len(structure) != config.num_blocks:
+        raise DataFormatError(f"{path}: structure is not a list of "
+                              f"{config.num_blocks} blocks, one per block of the config")
+    for i, s in enumerate(structure):
+        btype = config.block_type(i)
+        if not isinstance(s, dict) or s.get("type") != btype:
+            raise DataFormatError(f"{path}: structure block {i} is not an object of "
+                                  f"type {btype!r}")
+        for kind, width in config.mask_sizes(i).items():
+            idx = s.get(f"{kind}_idx")
+            if not (isinstance(idx, list) and idx and all(type(v) is int for v in idx)
+                    and 0 <= idx[0] and idx[-1] < width
+                    and all(a < b for a, b in zip(idx, idx[1:]))):
+                raise DataFormatError(f"{path}: structure block {i} '{kind}_idx' is not a "
+                                      f"sorted list of distinct channels in [0, {width})")
+            hard = np.zeros(width, dtype=masks.dtype)
+            hard[idx] = 1
+            masks.blocks[i][kind].data = hard
 
 
 def save_masked(path, model: MaskedVit, masks: MaskSet):
-    _write(path, "masked", model.config, list(_masked_entries(model, masks)))
-
-
-def load(path, dtype=np.float32):
-    """(model, masks) of a masked checkpoint, or (model, None) of a compact one."""
-    header, config, values = _read(path)
-    if header["kind"] == "masked":
-        return _masked_model(path, config, values, dtype)
-    return _compact_model(path, header, config, values, dtype), None
-
-
-def load_masked(path, dtype=np.float32):
-    _, config, values = _read(path, ("masked",))
-    return _masked_model(path, config, values, dtype)
-
-
-def _masked_model(path, config, values, dtype):
-    model = MaskedVit(config, seed=0, dtype=dtype)
-    masks = MaskSet(config, dtype=dtype)
-    for name, t in _masked_entries(model, masks):
-        t.data = _entry(path, values, name, t.shape).astype(dtype)
-    return model, masks
+    _write(path, "masked", model.config, list(_entries(model, masks)))
 
 
 def save_compact(path, model: CompactVit):
     structure = [{"type": b["type"], **{f"{kind}_idx": b[f"{kind}_idx"].tolist()
                                         for kind in MASK_KINDS[b["type"]]}}
                  for b in model.blocks]
-    _write(path, "compact", model.config, list(_compact_entries(model)), extra=structure)
+    _write(path, "compact", model.config, list(_entries(model)), structure)
+
+
+def load(path, dtype=np.float32):
+    """(model, masks) of a masked checkpoint, or (model, None) of a compact one."""
+    return _load(path, *_read(path), dtype)
+
+
+def load_masked(path, dtype=np.float32):
+    return _load(path, *_read(path, ("masked",)), dtype)
 
 
 def load_compact(path, dtype=np.float32):
-    return _compact_model(path, *_read(path, ("compact",)), dtype)
+    return _load(path, *_read(path, ("compact",)), dtype)[0]
 
 
-def _compact_model(path, header, config, values, dtype):
-    structure = header["structure"]
-    if not isinstance(structure, list) or len(structure) != config.num_blocks:
-        raise DataFormatError(f"{path}: structure is not a list of "
-                              f"{config.num_blocks} blocks, one per block of the config")
-
-    def tensor(name, shape):
-        return Tensor(_entry(path, values, name, shape).astype(dtype), requires_grad=True)
-
-    blocks = []
-    for i, s in enumerate(structure):
-        btype = config.block_type(i)
-        if not isinstance(s, dict) or s.get("type") != btype:
-            raise DataFormatError(f"{path}: structure block {i} is not an object of "
-                                  f"type {btype!r}")
-        idx = {kind: _index_list(path, i, kind, s.get(f"{kind}_idx"), width)
-               for kind, width in config.mask_sizes(i).items()}
-        b = {"type": btype, **{f"{kind}_idx": kept for kind, kept in idx.items()}}
-        shapes = block_shapes(config, btype, *map(len, idx.values()))
-        b.update((key, tensor(f"block.{i}.{key}", shape))
-                 for key, shape in zip(CompactVit.BLOCK_KEYS[btype], shapes))
-        blocks.append(b)
-    trunk = {name: tensor(name, shape) for name, shape in trunk_shapes(config).items()}
-    return CompactVit(config, trunk, blocks, dtype)
+def _load(path, header, config, values, dtype):
+    """The one loader: a fresh ``MaskedVit`` and ``MaskSet``, for a compact
+    file narrowed by ``CompactVit.from_masked`` to the hard masks of its
+    ``structure``, then every tensor set from its entry."""
+    model = MaskedVit(config, seed=0, dtype=dtype)
+    masks = MaskSet(config, dtype=dtype)
+    if header["kind"] == "compact":
+        _structure_masks(path, header["structure"], masks)
+        model, masks = CompactVit.from_masked(model, masks), None
+    for name, t in _entries(model, masks):
+        if name not in values:
+            raise DataFormatError(f"{path}: missing entry '{name}'")
+        if values[name].shape != t.shape:
+            raise DataFormatError(f"{path}: entry '{name}' has shape "
+                                  f"{values[name].shape}, expected {t.shape}")
+        if not np.all(np.isfinite(values[name])):
+            raise DataFormatError(f"{path}: entry '{name}' holds a non-finite value")
+        t.data = values[name].astype(dtype)
+    return model, masks

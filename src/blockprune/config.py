@@ -12,25 +12,11 @@ from .vit import VitConfig
 
 
 @dataclass
-class ModelSection:
-    image_size: int = 32
-    patch_size: int = 4
-    embed_dim: int = 64
-    heads: int = 4
-    depth: int = 6
-    mlp_ratio: float = 4.0
-    num_classes: int = 10
-    channels: int = 1
+class ModelSection(VitConfig):
     patch_head: str = "resnet"  # benefit-probe patch classifier flavor
 
     def vit_config(self):
-        try:
-            return VitConfig(image_size=self.image_size, patch_size=self.patch_size,
-                             embed_dim=self.embed_dim, heads=self.heads, depth=self.depth,
-                             mlp_ratio=self.mlp_ratio, num_classes=self.num_classes,
-                             channels=self.channels)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return VitConfig(**{f.name: getattr(self, f.name) for f in fields(VitConfig)})
 
 
 @dataclass
@@ -112,7 +98,6 @@ class RunConfig:
     frozen: bool = False
 
     def validate(self):
-        self.model.vit_config()
         p, s, m, d = self.pruning, self.schedule, self.model, self.data
         if m.depth < 1:
             raise ConfigError("model.depth must be >= 1")
@@ -199,8 +184,11 @@ def _build_section(cls, raw, path):
     unknown = set(raw) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in '{path}': {sorted(unknown)}")
-    return cls(**{f.name: _typed(raw[f.name], f.type, f"{path}.{f.name}")
-                  for f in fields(cls) if f.name in raw})
+    try:
+        return cls(**{f.name: _typed(raw[f.name], f.type, f"{path}.{f.name}")
+                      for f in fields(cls) if f.name in raw})
+    except ValueError as exc:  # model geometry that VitConfig rejects
+        raise ConfigError(str(exc)) from exc
 
 
 def config_from_dict(raw):

@@ -22,6 +22,7 @@ from . import autograd as ag
 from .autograd import Tensor
 from .bpi import BpiHeads
 from .budget import allocate, block_importance
+from .checkpoint import atomic_open
 from .data import batch_iter
 from .errors import BudgetInfeasibleError
 from .masking import (RunningMean, TaylorAccumulator, guard_minimums,
@@ -355,13 +356,13 @@ def train_dense(model, train_ds, val_ds, cfg, epochs, metrics=None,
 
 
 def write_csv(path, fields, rows):
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         w = csv.DictWriter(fh, fields)
         w.writeheader()
         w.writerows(rows)
 
 
 def write_json(path, obj):
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")

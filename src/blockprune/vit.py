@@ -9,14 +9,15 @@ indices put Attention on odd positions.
 Both models share one trunk (``_Trunk``): the patch embedding, class token
 and position embedding before the blocks, the one attention/MLP block body
 (``_Trunk._block``), and the readout (final layernorm, class token, head)
-after them. Pruning never narrows the trunk. The masked and the compact
-model differ only in the weights they hand the block body: every channel
-gate sits on the weights, not on the activations. The masked model folds its
-masks into the rows and columns of the projections, so a mask costs a
-weight-sized multiply whatever the batch; the compact model widens its
-narrowed output projection back to full width with zero columns, so its
-delta adds straight into the residual stream, and gathers only its kept
-input channels.
+after them. Pruning never narrows the trunk. Both store block i as one dict
+of its index lists, the full range until compaction narrows them, and its
+tensors. The masked and the compact model differ only in the weights they
+hand the block body: every channel gate sits on the weights, not on the
+activations. The masked model folds its masks into the rows and columns of
+the projections, so a mask costs a weight-sized multiply whatever the batch;
+the compact model widens its narrowed output projection back to full width
+with zero columns, so its delta adds straight into the residual stream, and
+gathers only its kept input channels.
 """
 
 from __future__ import annotations
@@ -161,22 +162,6 @@ def inner_groups(block_type, heads):
     return (3 * heads, heads) if block_type == ATTN else (1, 1)
 
 
-def block_shapes(config, block_type, a_in, a_out, a_inner):
-    """Shapes of a block's tensors, in ``BLOCK_KEYS`` order, at the given channel counts."""
-    g1, g2 = inner_groups(block_type, config.heads)
-    e = config.embed_dim
-    return [(e,), (e,), (a_in, g1 * a_inner), (g1 * a_inner,), (g2 * a_inner, a_out), (a_out,)]
-
-
-def trunk_shapes(c):
-    """Shapes of the ``_Trunk.STEM`` and ``_Trunk.HEAD`` tensors of config ``c``."""
-    e = c.embed_dim
-    return {"patch_w": (c.patch_size * c.patch_size * c.channels, e), "patch_b": (e,),
-            "cls_token": (1, 1, e), "pos_embed": (1, 1 + c.num_patches, e),
-            "ln_f_g": (e,), "ln_f_b": (e,), "head_w": (e, c.num_classes),
-            "head_b": (c.num_classes,)}
-
-
 def block_param_count(block_type, a_in, a_out, a_inner, heads):
     """Prunable parameters (projection weights + biases) at the given channel counts."""
     g1, g2 = inner_groups(block_type, heads)
@@ -230,12 +215,16 @@ def _attention(qkv, head_dim):
 
 
 class _Trunk:
-    """The full-width parts of a model that pruning never narrows, and the
-    one block body.
+    """The block layout of both models, the full-width parts that pruning
+    never narrows, and the one block body.
 
     ``STEM`` tensors run before the blocks, ``HEAD`` tensors after them; a
-    model keeps each as an attribute of that name and supplies block i's
-    tensors, in ``BLOCK_KEYS`` order, through ``block_weights(i)``.
+    model keeps each as an attribute of that name. Block i is the dict
+    ``blocks[i]``: its ``type``, one index list ``{kind}_idx`` of kept
+    channels per kind of ``MASK_KINDS[type]``, and its six tensors under
+    ``BLOCK_KEYS[type]``. The index lists alone fix the tensors' widths: every
+    list is the full range in a ``MaskedVit``, and the channels that
+    compaction kept in a ``CompactVit``.
     """
 
     STEM = ("patch_w", "patch_b", "cls_token", "pos_embed")
@@ -243,6 +232,30 @@ class _Trunk:
     # weight tensors of a block, in parameter and checkpoint order
     BLOCK_KEYS = {ATTN: ("ln_g", "ln_b", "w_qkv", "b_qkv", "w_proj", "b_proj"),
                   MLP: ("ln_g", "ln_b", "w_fc1", "b_fc1", "w_fc2", "b_fc2")}
+
+    def __init__(self, config: VitConfig, trunk, blocks, dtype=np.float32):
+        """``trunk`` maps every ``STEM`` and ``HEAD`` name to its tensor."""
+        self.config = config
+        self.dtype = dtype
+        for name in self.STEM + self.HEAD:
+            setattr(self, name, trunk[name])
+        self.blocks = blocks
+
+    def block_weights(self, i):
+        """Block i's tensors in ``BLOCK_KEYS`` order."""
+        b = self.blocks[i]
+        return [b[key] for key in self.BLOCK_KEYS[b["type"]]]
+
+    def block_param_counts(self, masks: MaskSet | None = None):
+        """Prunable parameters of every block, counted from its index lists,
+        or from the mask elements at or above 0.5 when ``masks`` are given."""
+        counts = []
+        for i, b in enumerate(self.blocks):
+            kinds = MASK_KINDS[b["type"]]
+            kept = ([len(b[f"{kind}_idx"]) for kind in kinds] if masks is None
+                    else [int((masks.blocks[i][kind].data >= 0.5).sum()) for kind in kinds])
+            counts.append(block_param_count(b["type"], *kept, self.config.heads))
+        return np.array(counts)
 
     def parameters(self):
         return ([getattr(self, name) for name in self.STEM]
@@ -301,11 +314,10 @@ def _layer_key(key, i):
 
 
 class MaskedVit(_Trunk):
-    """Transformer backbone whose blocks read/write through soft masks."""
+    """Transformer backbone whose blocks read/write through soft masks; every
+    block keeps all of its channels."""
 
     def __init__(self, config: VitConfig, seed=0, dtype=np.float32):
-        self.config = config
-        self.dtype = dtype
         rng = np.random.default_rng(seed)
         c = config
 
@@ -318,22 +330,31 @@ class MaskedVit(_Trunk):
                 arr = _trunc_normal(rng, shape)
             return Tensor(arr.astype(dtype), requires_grad=True)
 
-        shapes = trunk_shapes(c)
-        for name in self.STEM:
-            setattr(self, name, param(name, shapes[name]))
-        self.layers = [{} for _ in range(c.depth)]
+        e = c.embed_dim
+        shapes = {"patch_w": (c.patch_size * c.patch_size * c.channels, e), "patch_b": (e,),
+                  "cls_token": (1, 1, e), "pos_embed": (1, 1 + c.num_patches, e),
+                  "ln_f_g": (e,), "ln_f_b": (e,), "head_w": (e, c.num_classes),
+                  "head_b": (c.num_classes,)}
+        trunk = {name: param(name, shapes[name]) for name in self.STEM}
+        blocks = []
         for i in range(c.num_blocks):
-            btype = c.block_type(i)
-            for key, shape in zip(self.BLOCK_KEYS[btype],
-                                  block_shapes(c, btype, *c.mask_sizes(i).values())):
-                self.layers[i // 2][_layer_key(key, i)] = param(key, shape)
-        for name in self.HEAD:
-            setattr(self, name, param(name, shapes[name]))
+            btype, sizes = c.block_type(i), c.mask_sizes(i)
+            g1, g2 = inner_groups(btype, c.heads)
+            _, _, inner = sizes.values()
+            b = {"type": btype, **{f"{kind}_idx": np.arange(n) for kind, n in sizes.items()}}
+            b.update((key, param(key, shape)) for key, shape in zip(self.BLOCK_KEYS[btype], [
+                (e,), (e,), (e, g1 * inner), (g1 * inner,), (g2 * inner, e), (e,)]))
+            blocks.append(b)
+        trunk.update((name, param(name, shapes[name])) for name in self.HEAD)
+        super().__init__(config, trunk, blocks, dtype)
 
-    def block_weights(self, i):
-        """Block i's tensors in ``BLOCK_KEYS`` order."""
-        return [self.layers[i // 2][_layer_key(key, i)]
-                for key in self.BLOCK_KEYS[self.config.block_type(i)]]
+    @property
+    def layers(self):
+        """Read-only per-depth view of the blocks: layer d holds attention
+        block 2d and MLP block 2d + 1, under ``_layer_key`` names."""
+        return [{_layer_key(key, i): self.blocks[i][key]
+                 for i in (2 * d, 2 * d + 1) for key in self.BLOCK_KEYS[self.config.block_type(i)]}
+                for d in range(self.config.depth)]
 
     def gated_weights(self, i, masks: MaskSet):
         """Block i's tensors with its masks folded in: ``in`` scales the rows
@@ -367,18 +388,9 @@ class MaskedVit(_Trunk):
                                          before.detach(), x.detach()))
         return self.readout(x), trace
 
-    # -- accounting -------------------------------------------------------
-
-    def count_params(self, masks: MaskSet, i):
-        """(total, remaining) prunable parameters of block i at threshold 0.5."""
-        c = self.config
-        geom = BlockGeometry(c.block_type(i), c.mask_sizes(i), c.heads)
-        kept = {k: int((masks.blocks[i][k].data >= 0.5).sum()) for k in geom.sizes}
-        return geom.total_params, geom.params_of_counts(kept)
-
     def param_totals(self, masks: MaskSet):
-        counts = np.array([self.count_params(masks, i) for i in range(self.config.num_blocks)])
-        return counts[:, 0], counts[:, 1]
+        """(total, remaining) prunable parameters of every block, at threshold 0.5."""
+        return self.block_param_counts(), self.block_param_counts(masks)
 
 
 # ---------------------------------------------------------------------------
@@ -388,24 +400,13 @@ class MaskedVit(_Trunk):
 class CompactVit(_Trunk):
     """Mask-free model produced by deleting sub-threshold channels.
 
-    A block is its type, its kept index list ``{kind}_idx`` for each kind of
-    ``MASK_KINDS[type]`` and its narrowed tensors under ``BLOCK_KEYS``; the
-    index lists alone fix the tensors' widths. The block gathers its input
-    channels from the full-width residual stream; its output projection and
-    bias are scattered to full width, zero outside ``out_idx``, so its delta
-    adds into the stream as it is. Checkpoints keep the narrow tensors.
-    Attention keeps the original softmax temperature of the unpruned head
-    width.
+    Its blocks keep the index lists of the channels that compaction kept,
+    and tensors narrowed to them. A block gathers its input channels from
+    the full-width residual stream; its output projection and bias are
+    scattered to full width, zero outside ``out_idx``, so its delta adds into
+    the stream as it is. Checkpoints keep the narrow tensors. Attention keeps
+    the original softmax temperature of the unpruned head width.
     """
-
-    def __init__(self, config: VitConfig, trunk, blocks, dtype=np.float32):
-        """``trunk`` maps every ``STEM`` and ``HEAD`` name to its tensor;
-        ``blocks`` holds one dict of weights and index arrays per block."""
-        self.config = config
-        self.dtype = dtype
-        for name in self.STEM + self.HEAD:
-            setattr(self, name, trunk[name])
-        self.blocks = blocks
 
     @classmethod
     def from_masked(cls, model: MaskedVit, masks: MaskSet):
@@ -434,18 +435,6 @@ class CompactVit(_Trunk):
             b.update(zip(cls.BLOCK_KEYS[btype], map(leaf, (ln_g, ln_b, w1, b1, w2, b2[i_out]))))
             blocks.append(b)
         return cls(c, trunk, blocks, model.dtype)
-
-    def block_weights(self, i):
-        b = self.blocks[i]
-        return [b[key] for key in self.BLOCK_KEYS[b["type"]]]
-
-    def block_param_counts(self):
-        """Prunable parameters of every block, counted from its index lists."""
-        counts = []
-        for b in self.blocks:
-            kept = (len(b[f"{kind}_idx"]) for kind in MASK_KINDS[b["type"]])
-            counts.append(block_param_count(b["type"], *kept, self.config.heads))
-        return np.array(counts)
 
     def forward(self, images):
         x = self.embed(images)

@@ -60,7 +60,12 @@ CORRUPTIONS = ["missing kind", "missing structure", "unknown config key", "zero 
                "repeated entry name", "block entry shape swapped", "trunk entry shape swapped",
                "attention item without e_idx", "index list empty", "index at its width",
                "negative index", "duplicate index", "unsorted index list",
-               "index list not a list", "index list one short"]
+               "index list not a list", "index list one short", "non-finite entry"]
+
+
+def header_of(path):
+    first, rest = path.read_bytes().split(b"\n", 1)
+    return json.loads(rest[:int(first.split()[-1])])
 
 
 def micro_config_file(tmp_path, **extra):
@@ -129,6 +134,10 @@ def corrupted(case, header, blob):
         header["structure"][3]["hid_idx"] = "0-15"
     elif case == "index list one short":
         header["structure"][1]["hid_idx"].pop()
+    elif case == "non-finite entry":
+        values = np.frombuffer(blob, dtype="<f4").copy()
+        values[-1] = np.nan
+        blob = values.tobytes()
     payload = b"{kind: compact}" if case == "not json" else json.dumps(header).encode()
     nbytes = len(payload) + (8 if case == "header length past header" else 0)
     return f"{MAGIC} {nbytes}\n".encode() + payload + blob
@@ -243,6 +252,40 @@ class TestCheckpoints:
             load_compact(path)
         cfgp = micro_config_file(tmp_path, out=str(tmp_path / "ev"))
         assert cli.main(["eval", "--config", cfgp, str(path)]) == DataFormatError.exit_code
+
+    def test_entry_names(self, tmp_path):
+        # the v1 entry names and their order, which every file keeps
+        cfg = VitConfig(image_size=8, patch_size=4, embed_dim=8, heads=2, depth=1,
+                        mlp_ratio=2.0, num_classes=3)
+        model, masks = MaskedVit(cfg, seed=0), MaskSet(cfg)
+        save_masked(tmp_path / "m.ckpt", model, masks)
+        save_compact(tmp_path / "c.ckpt", CompactVit.from_masked(model, masks))
+        stem = ["patch_w", "patch_b", "cls_token", "pos_embed"]
+        head = ["ln_f_g", "ln_f_b", "head_w", "head_b"]
+        assert [e["name"] for e in header_of(tmp_path / "m.ckpt")["entries"]] == stem + [
+            "layer.0.ln1_g", "layer.0.ln1_b", "layer.0.w_qkv", "layer.0.b_qkv",
+            "layer.0.w_proj", "layer.0.b_proj", "layer.0.ln2_g", "layer.0.ln2_b",
+            "layer.0.w_fc1", "layer.0.b_fc1", "layer.0.w_fc2", "layer.0.b_fc2"] + head + [
+            "mask.0.in", "mask.0.out", "mask.0.e", "mask.1.in", "mask.1.out", "mask.1.hid"]
+        assert [e["name"] for e in header_of(tmp_path / "c.ckpt")["entries"]] == stem + [
+            "block.0.ln_g", "block.0.ln_b", "block.0.w_qkv", "block.0.b_qkv",
+            "block.0.w_proj", "block.0.b_proj", "block.1.ln_g", "block.1.ln_b",
+            "block.1.w_fc1", "block.1.b_fc1", "block.1.w_fc2", "block.1.b_fc2"] + head
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        cfg = VitConfig(image_size=8, patch_size=4, embed_dim=8, heads=2, depth=1,
+                        mlp_ratio=2.0, num_classes=3)
+        model, masks = MaskedVit(cfg, seed=0), MaskSet(cfg)
+        path = tmp_path / "m.ckpt"
+        save_masked(path, model, masks)
+        old = path.read_bytes()
+        # the last entry cannot be written as float32: the write fails after
+        # the header and every other entry are out
+        masks.blocks[-1]["hid"].data = np.full(cfg.hidden_dim, "x", dtype=object)
+        with pytest.raises(ValueError):
+            save_masked(path, MaskedVit(cfg, seed=1), masks)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
     def test_not_a_checkpoint(self, tmp_path):
         p = tmp_path / "junk.ckpt"

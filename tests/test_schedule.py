@@ -7,7 +7,8 @@ from blockprune.data import SyntheticSpec, generate_synthetic
 from blockprune.errors import BudgetInfeasibleError, NumericError
 from blockprune.schedule import (FINETUNE, SHARPEN, SPARSIFY, WARMUP,
                                  MetricsWriter, PruneSchedule, PruningRun,
-                                 intermediate_target, sharpness_ramp, train_dense)
+                                 intermediate_target, sharpness_ramp, train_dense,
+                                 write_csv, write_json)
 from blockprune.vit import CompactVit, MaskSet, MaskedVit
 
 
@@ -260,3 +261,21 @@ class TestDenseTraining:
         train_dense(model, train, val, cfg, epochs=6, metrics=metrics)
         losses = [float(r["loss"]) for r in metrics.epoch_rows]
         assert losses[-1] < losses[0]
+
+
+class TestRunFiles:
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        # json.dump and csv write row by row, so both fail with part of the
+        # new content out
+        path = tmp_path / "summary.json"
+        write_json(path, {"a": 1, "b": 2})
+        old = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_json(path, {"a": 1, "b": object()})
+        assert path.read_bytes() == old
+        path = tmp_path / "metrics.csv"
+        write_csv(path, ["a"], [{"a": 1}])
+        with pytest.raises(ValueError):
+            write_csv(path, ["a"], [{"a": 2}, {"b": 3}])
+        assert path.read_bytes() == b"a\r\n1\r\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.csv", "summary.json"]

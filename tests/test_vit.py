@@ -159,6 +159,27 @@ class TestMaskedForward:
         assert np.allclose(out_masked.data, out_folded.data, rtol=1e-9, atol=1e-12)
 
 
+class TestBlockLayout:
+    def test_layers_view_holds_the_block_tensors(self):
+        model, _ = tiny_model()
+        assert len(model.layers) == TINY.depth
+        for d, layer in enumerate(model.layers):
+            attn, mlp = model.blocks[2 * d], model.blocks[2 * d + 1]
+            expected = {"ln1_g": attn["ln_g"], "ln1_b": attn["ln_b"], "w_qkv": attn["w_qkv"],
+                        "b_qkv": attn["b_qkv"], "w_proj": attn["w_proj"], "b_proj": attn["b_proj"],
+                        "ln2_g": mlp["ln_g"], "ln2_b": mlp["ln_b"], "w_fc1": mlp["w_fc1"],
+                        "b_fc1": mlp["b_fc1"], "w_fc2": mlp["w_fc2"], "b_fc2": mlp["b_fc2"]}
+            assert list(layer) == list(expected)
+            assert all(layer[key] is t for key, t in expected.items())
+
+    def test_masked_index_lists_are_full_ranges(self):
+        model, _ = tiny_model()
+        for i, b in enumerate(model.blocks):
+            assert b["type"] == TINY.block_type(i)
+            for kind, size in TINY.mask_sizes(i).items():
+                assert np.array_equal(b[f"{kind}_idx"], np.arange(size))
+
+
 class TestMaskGradients:
     def test_shapes_match_masks(self):
         model, masks = tiny_model()
@@ -205,8 +226,8 @@ class TestCountParams:
         cfg = VitConfig(image_size=32, patch_size=4, embed_dim=64, heads=4, depth=1)
         model = MaskedVit(cfg, seed=0)
         masks = MaskSet(cfg)
-        total, remaining = model.count_params(masks, 0)
-        assert total == remaining == 16640
+        totals, remaining = model.param_totals(masks)
+        assert totals[0] == remaining[0] == 16640
 
     def test_half_head_dim(self):
         cfg = VitConfig(image_size=32, patch_size=4, embed_dim=64, heads=4, depth=1)
@@ -215,8 +236,8 @@ class TestCountParams:
         e_vals = np.full(16, 0.01)
         e_vals[:8] = 0.99
         masks.set_block(0, {"e": e_vals})
-        _, remaining = model.count_params(masks, 0)
-        assert remaining == 8352
+        _, remaining = model.param_totals(masks)
+        assert remaining[0] == 8352
 
     def test_guard_floor_never_zero(self):
         cfg = VitConfig(image_size=32, patch_size=4, embed_dim=64, heads=4, depth=1)
@@ -227,8 +248,8 @@ class TestCountParams:
             vals = np.full(size, 0.01)
             vals[0] = 0.99
             masks.set_block(0, {kind: vals})
-        _, remaining = model.count_params(masks, 0)
-        assert remaining == 1 * 12 + 12 + 4 * 1 + 1
+        _, remaining = model.param_totals(masks)
+        assert remaining[0] == 1 * 12 + 12 + 4 * 1 + 1
 
 
 class TestBackboneGradients:
@@ -279,9 +300,9 @@ class TestCompaction:
         assert np.allclose(logits_hard.data, logits_compact.data, rtol=1e-7)
 
         counts = compact.block_param_counts()
+        _, remaining = model.param_totals(masks)
         for i in range(TINY.num_blocks):
-            _, remaining = model.count_params(masks, i)
-            assert counts[i] == remaining
+            assert counts[i] == remaining[i]
 
     def test_compact_tensors_are_own_c_order_arrays(self):
         # fine-tuning trains these arrays in place: each must be C-ordered
