@@ -24,6 +24,7 @@ DEFAULT_DTYPE = np.float32
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
+_GELU_ROWS = 512  # rows per block of the no-grad gelu
 
 _M_TRIM_THRESHOLD = -1  # glibc malloc.h
 _M_MMAP_THRESHOLD = -3
@@ -305,8 +306,28 @@ def linear(x, w, b):
 
 
 def gelu(x):
-    """GELU in its tanh form, with the matching exact derivative."""
+    """GELU in its tanh form, with the matching exact derivative.
+
+    Without a recorded gradient it runs in cache-sized blocks of rows of one
+    output buffer, with the same ops in the same order.
+    """
     xa = x.data
+    if not (tape.enabled and x.requires_grad):
+        data = np.empty(xa.shape, dtype=xa.dtype)
+        rows = xa.reshape(math.prod(xa.shape[:-1]), xa.shape[-1] if xa.ndim else 1)
+        out = data.reshape(rows.shape)
+        for lo in range(0, rows.shape[0], _GELU_ROWS):
+            xb, ob = rows[lo:lo + _GELU_ROWS], out[lo:lo + _GELU_ROWS]
+            np.multiply(xb, xb, out=ob)
+            ob *= _GELU_A
+            ob += 1.0
+            ob *= xb
+            ob *= _GELU_C
+            np.tanh(ob, out=ob)
+            ob += 1.0
+            ob *= xb
+            ob *= 0.5
+        return _out(data, (x,), None)
     x2 = xa * xa
     th = x2 * _GELU_A
     th += 1.0
@@ -418,6 +439,45 @@ def softmax(x):
         _accum(x, dx)
 
     return _out(data, (x,), bwd)
+
+
+def attention(h, n, t, heads, scale):
+    """Multi-head self-attention as one node, from the (n * t, 3 * heads *
+    width) q/k/v projection ``h`` to the merged heads (n * t, heads * width),
+    with the scores multiplied by ``scale``. The ops and operand layouts are
+    those of the unfused transpose/slice/matmul/scale/softmax chain, so the
+    bytes are too; q, k and v are strided views of ``h``, kᵀ is one copy.
+    """
+    if h.ndim != 2 or h.shape[0] != n * t or h.shape[1] % (3 * heads):
+        raise ValueError(f"attention expects (n * t, 3 * heads * width): {h.shape}")
+    width = h.shape[1] // (3 * heads)
+    # at one channel per head the products are matrix-vector ones, whose
+    # rounding depends on the vector's stride: keep the chain's layout there
+    layout = np.ascontiguousarray if width == 1 else np.asarray
+    q, k, v = map(layout, h.data.reshape(n, t, 3, heads, width).transpose(2, 0, 3, 1, 4))
+    kt = np.ascontiguousarray(k.swapaxes(-1, -2))
+    s = q @ kt
+    s *= np.asarray(scale, dtype=h.dtype)
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    data = np.empty((n, t, heads, width), dtype=h.dtype)
+    np.matmul(s, v, out=data.transpose(0, 2, 1, 3))
+
+    def bwd(g):
+        g = layout(g.reshape(n, t, heads, width).transpose(0, 2, 1, 3))
+        ds = g @ v.swapaxes(-1, -2)
+        ds *= s
+        ds -= s * ds.sum(axis=-1, keepdims=True)
+        ds *= np.asarray(scale, dtype=h.dtype)
+        dh = np.empty((n, t, 3, heads, width), dtype=h.dtype)
+        dq, dk, dv = dh.transpose(2, 0, 3, 1, 4)
+        np.matmul(s.swapaxes(-1, -2), g, out=dv)
+        np.matmul(ds, kt.swapaxes(-1, -2), out=dq)
+        dk[...] = (q.swapaxes(-1, -2) @ ds).swapaxes(-1, -2)
+        _accum(h, dh.reshape(h.shape))
+
+    return _out(data.reshape(n * t, heads * width), (h,), bwd)
 
 
 def softmax_cross_entropy(logits, labels):

@@ -275,6 +275,8 @@ def cmd_report(run_dir):
 def cmd_eval(cfg, checkpoint):
     _, val_ds = load_datasets(cfg)
     model, masks = load(checkpoint)
+    if model.config != cfg.model.vit_config():
+        raise ConfigError(f"{checkpoint}: checkpoint geometry does not match config")
     acc, loss = evaluate(model, val_ds, masks=masks)
     print(f"{checkpoint}: val acc {acc:.4f}, val loss {loss:.4f}")
     return 0

@@ -9,15 +9,16 @@ indices put Attention on odd positions.
 Both models share one trunk (``_Trunk``): the patch embedding, class token
 and position embedding before the blocks, the one attention/MLP block body
 (``_Trunk._block``), and the readout (final layernorm, class token, head)
-after them. Pruning never narrows the trunk. Both store block i as one dict
-of its index lists, the full range until compaction narrows them, and its
-tensors. The masked and the compact model differ only in the weights they
-hand the block body: every channel gate sits on the weights, not on the
-activations. The masked model folds its masks into the rows and columns of
-the projections, so a mask costs a weight-sized multiply whatever the batch;
-the compact model widens its narrowed output projection back to full width
-with zero columns, so its delta adds straight into the residual stream, and
-gathers only its kept input channels.
+after them. Attention runs as one autograd node, ``ag.attention``, from the
+q/k/v projection to the merged heads. Pruning never narrows the trunk. Both
+store block i as one dict of its index lists, the full range until
+compaction narrows them, and its tensors. The masked and the compact model
+differ only in the weights they hand the block body: every channel gate sits
+on the weights, not on the activations. The masked model folds its masks
+into the rows and columns of the projections, so a mask costs a weight-sized
+multiply whatever the batch; the compact model widens its narrowed output
+projection back to full width with zero columns, so its delta adds straight
+into the residual stream, and gathers only its kept input channels.
 """
 
 from __future__ import annotations
@@ -197,23 +198,6 @@ def _trunc_normal(rng, shape, std=0.02):
     return vals
 
 
-def _attention(qkv, head_dim):
-    """Multi-head self-attention over a (n, t, 3, heads, width) q/k/v tensor;
-    returns the heads merged as (n * t, heads * width).
-
-    The temperature stays at the unpruned ``head_dim``: neither masking nor
-    compaction may retune the softmax.
-    """
-    n, t, _, heads, width = qkv.shape
-    qkv = ag.transpose(qkv, (2, 0, 3, 1, 4))
-    q = ag.reshape(ag.slice_axis(qkv, 0, 0, 1), (n, heads, t, width))
-    k = ag.reshape(ag.slice_axis(qkv, 0, 1, 2), (n, heads, t, width))
-    v = ag.reshape(ag.slice_axis(qkv, 0, 2, 3), (n, heads, t, width))
-    scores = ag.scale(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(head_dim))
-    out = ag.matmul(ag.softmax(scores), v)
-    return ag.reshape(ag.transpose(out, (0, 2, 1, 3)), (n * t, heads * width))
-
-
 class _Trunk:
     """The block layout of both models, the full-width parts that pruning
     never narrows, and the one block body.
@@ -293,7 +277,9 @@ class _Trunk:
         every channel gate already applied, the output projection at full
         width. ``read`` selects the block's input channels from the
         layernormed stream. The input and inner widths come from the
-        tensors, so one body serves full-width and narrowed blocks.
+        tensors, so one body serves full-width and narrowed blocks. Attention
+        is the one node ``ag.attention``, at the temperature of the unpruned
+        ``head_dim``: neither masking nor compaction may retune the softmax.
         """
         c = self.config
         n, t, _ = x.shape
@@ -301,7 +287,7 @@ class _Trunk:
         h = read(ag.layernorm(x, ln_g, ln_b))
         h = ag.linear(ag.reshape(h, (n * t, h.shape[-1])), w1, b1)
         if block_type == ATTN:
-            h = _attention(ag.reshape(h, (n, t, 3, c.heads, -1)), c.head_dim)
+            h = ag.attention(h, n, t, c.heads, 1.0 / math.sqrt(c.head_dim))
         else:
             h = ag.gelu(h)
         return ag.reshape(ag.linear(h, w2, b2), (n, t, -1))

@@ -149,6 +149,75 @@ class TestCrossEntropy:
         check_gradients(lambda: ag.softmax_cross_entropy(logits, labels), [logits])
 
 
+def unfused_attention(h, n, t, heads, scale):
+    """The transpose/slice/matmul/scale/softmax chain that ``ag.attention``
+    fuses, kept as its byte-for-byte reference."""
+    width = h.shape[1] // (3 * heads)
+    qkv = ag.transpose(ag.reshape(h, (n, t, 3, heads, width)), (2, 0, 3, 1, 4))
+    q, k, v = (ag.reshape(ag.slice_axis(qkv, 0, j, j + 1), (n, heads, t, width))
+               for j in range(3))
+    scores = ag.scale(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), scale)
+    out = ag.matmul(ag.softmax(scores), v)
+    return ag.reshape(ag.transpose(out, (0, 2, 1, 3)), (n * t, heads * width))
+
+
+class TestAttention:
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(21)
+        n, t, heads, width = 2, 5, 4, 3
+        h = tensor64(rng.normal(size=(n * t, 3 * heads * width)))
+        r = tensor64(rng.normal(size=(n * t, heads * width)), requires_grad=False)
+        check_gradients(lambda: ag.tsum(ag.mul(ag.attention(h, n, t, heads, 0.5), r)), [h])
+
+    @pytest.mark.parametrize("t", [37, 65])
+    @pytest.mark.parametrize("width", [16, 5, 1])
+    def test_bit_equal_to_unfused_chain(self, t, width):
+        rng = np.random.default_rng(t * width)
+        n, heads = 3, 4
+        h_data = rng.normal(size=(n * t, 3 * heads * width)).astype(np.float32)
+        r = Tensor(rng.normal(size=(n * t, heads * width)).astype(np.float32))
+        results = []
+        for fn in (unfused_attention, ag.attention):
+            ag.tape.clear()
+            h = Tensor(h_data.copy(), requires_grad=True)
+            out = fn(h, n, t, heads, 1.0 / math.sqrt(16))
+            ag.backward(ag.tsum(ag.mul(out, r)))
+            results.append((out.data.tobytes(), h.grad.tobytes()))
+        assert results[0] == results[1]
+
+    def test_shape_rejected(self):
+        with pytest.raises(ValueError):
+            ag.attention(Tensor(np.ones((6, 10))), 2, 3, 2, 1.0)
+
+
+class TestGeluNoGrad:
+    @pytest.mark.parametrize("shape", [(1, 7), (512, 7), (513, 7), (1000, 33), (9,),
+                                       (2, 3, 4, 5)])
+    def test_bit_equal_to_recorded_forward(self, shape):
+        x = Tensor(np.random.default_rng(8).normal(size=shape).astype(np.float32),
+                   requires_grad=True)
+        recorded = ag.gelu(x)
+        assert recorded.requires_grad
+        with ag.no_grad():
+            plain = ag.gelu(x)
+        assert plain.shape == shape
+        assert plain.data.tobytes() == recorded.data.tobytes()
+
+    def test_no_tape_node_under_no_grad(self):
+        x = tensor64(np.ones((3, 4)))
+        ag.tape.clear()
+        with ag.no_grad():
+            ag.gelu(x)
+        assert len(ag.tape) == 0
+
+    def test_detached_input_records_no_gradient(self):
+        x = tensor64(np.ones((3, 4)))
+        ag.tape.clear()
+        y = ag.gelu(x.detach())
+        assert not y.requires_grad
+        assert len(ag.tape) == 0
+
+
 class TestDetach:
     def test_values_equal(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)

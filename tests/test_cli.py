@@ -385,6 +385,21 @@ class TestCommands:
                          str(tmp_path / "t2" / "checkpoint-final.ckpt")])
         assert code == ConfigError.exit_code
 
+    @pytest.mark.parametrize("change", [{"image_size": 12}, {"num_classes": 4}])
+    def test_eval_geometry_mismatch(self, tmp_path, capsys, change):
+        cfgp = micro_config_file(tmp_path, out=str(tmp_path / "t2"))
+        assert cli.main(["train", "--config", cfgp]) == 0
+        other = json.loads(json.dumps(MICRO))
+        other["model"].update(change)
+        p2 = tmp_path / "other.yaml"
+        p2.write_text(yaml.safe_dump(other))
+        capsys.readouterr()
+        code = cli.main(["eval", "--config", str(p2),
+                         str(tmp_path / "t2" / "checkpoint-final.ckpt")])
+        assert code == ConfigError.exit_code
+        err = capsys.readouterr().err
+        assert "geometry does not match" in err and len(err.strip().splitlines()) == 1
+
     def test_report_outputs(self, tmp_path, capsys):
         cfgp = micro_config_file(tmp_path, out=str(tmp_path / "rep"))
         assert cli.main(["prune", "--config", cfgp]) == 0
