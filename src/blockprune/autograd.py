@@ -328,6 +328,7 @@ def gelu(x):
             ob *= xb
             ob *= 0.5
         return _out(data, (x,), None)
+    xa = np.atleast_1d(xa)  # numpy returns a scalar, not an array, for 0-d operands
     x2 = xa * xa
     th = x2 * _GELU_A
     th += 1.0
@@ -351,9 +352,9 @@ def gelu(x):
         dx += 1.0
         dx *= 0.5
         dx *= g
-        _accum(x, dx)
+        _accum(x, dx.reshape(x.shape))
 
-    return _out(data, (x,), bwd)
+    return _out(data.reshape(x.shape), (x,), bwd)
 
 
 def sigmoid(x):

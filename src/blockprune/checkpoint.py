@@ -129,11 +129,9 @@ def _is_entry(e, offset):
             and type(e.get("offset")) is int and e["offset"] == offset)
 
 
-def _structure_masks(path, structure, masks):
-    """Set ``masks`` to 1 on the channels that a compact file's ``structure``
-    keeps and to 0 elsewhere. Each index list must be a non-empty, strictly
-    increasing list of channels in [0, width)."""
-    config = masks.config
+def _structure(path, structure, config):
+    """A compact file's ``structure``, checked against ``config``: each index
+    list a non-empty, strictly increasing list of channels in [0, width)."""
     if not isinstance(structure, list) or len(structure) != config.num_blocks:
         raise DataFormatError(f"{path}: structure is not a list of "
                               f"{config.num_blocks} blocks, one per block of the config")
@@ -149,9 +147,7 @@ def _structure_masks(path, structure, masks):
                     and all(a < b for a, b in zip(idx, idx[1:]))):
                 raise DataFormatError(f"{path}: structure block {i} '{kind}_idx' is not a "
                                       f"sorted list of distinct channels in [0, {width})")
-            hard = np.zeros(width, dtype=masks.dtype)
-            hard[idx] = 1
-            masks.blocks[i][kind].data = hard
+    return structure
 
 
 def save_masked(path, model: MaskedVit, masks: MaskSet):
@@ -179,14 +175,13 @@ def load_compact(path, dtype=np.float32):
 
 
 def _load(path, header, config, values, dtype):
-    """The one loader: a fresh ``MaskedVit`` and ``MaskSet``, for a compact
-    file narrowed by ``CompactVit.from_masked`` to the hard masks of its
-    ``structure``, then every tensor set from its entry."""
-    model = MaskedVit(config, seed=0, dtype=dtype)
-    masks = MaskSet(config, dtype=dtype)
+    """The one loader: a compact model built from the file's ``structure``,
+    or a masked model and a fresh ``MaskSet``; then every tensor set from its entry."""
     if header["kind"] == "compact":
-        _structure_masks(path, header["structure"], masks)
-        model, masks = CompactVit.from_masked(model, masks), None
+        blocks = _structure(path, header["structure"], config)
+        model, masks = CompactVit(config, blocks, dtype), None
+    else:
+        model, masks = MaskedVit(config, seed=0, dtype=dtype), MaskSet(config, dtype=dtype)
     for name, t in _entries(model, masks):
         if name not in values:
             raise DataFormatError(f"{path}: missing entry '{name}'")

@@ -135,6 +135,9 @@ class RunConfig:
             for key in ("images", "labels", "val_images", "val_labels"):
                 if getattr(self.data, key) is None:
                     raise ConfigError(f"data.{key} is required for IDX datasets")
+            if m.channels != 1:
+                raise ConfigError("model.channels must be 1 for IDX datasets, whose images "
+                                  "have one channel")
         if self.model.patch_head not in ("resnet", "pooled-linear"):
             raise ConfigError(f"unknown patch head '{self.model.patch_head}'")
         return self

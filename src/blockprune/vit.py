@@ -11,8 +11,8 @@ and position embedding before the blocks, the one attention/MLP block body
 (``_Trunk._block``), and the readout (final layernorm, class token, head)
 after them. Attention runs as one autograd node, ``ag.attention``, from the
 q/k/v projection to the merged heads. Pruning never narrows the trunk. Both
-store block i as one dict of its index lists, the full range until
-compaction narrows them, and its tensors. The masked and the compact model
+are built from one dict per block of its index lists, the full range until
+compaction narrows them, which give every tensor its shape. The two models
 differ only in the weights they hand the block body: every channel gate sits
 on the weights, not on the activations. The masked model folds its masks
 into the rows and columns of the projections, so a mask costs a weight-sized
@@ -217,13 +217,29 @@ class _Trunk:
     BLOCK_KEYS = {ATTN: ("ln_g", "ln_b", "w_qkv", "b_qkv", "w_proj", "b_proj"),
                   MLP: ("ln_g", "ln_b", "w_fc1", "b_fc1", "w_fc2", "b_fc2")}
 
-    def __init__(self, config: VitConfig, trunk, blocks, dtype=np.float32):
-        """``trunk`` maps every ``STEM`` and ``HEAD`` name to its tensor."""
-        self.config = config
+    def __init__(self, config: VitConfig, blocks, dtype=np.float32):
+        """Zero leaves at the shapes that ``config`` and the ``type`` and
+        ``{kind}_idx`` lists of each of ``blocks`` give: the one shape rule."""
+        c = self.config = config
         self.dtype = dtype
-        for name in self.STEM + self.HEAD:
-            setattr(self, name, trunk[name])
-        self.blocks = blocks
+        e = c.embed_dim
+
+        def leaf(shape):
+            return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
+
+        for name, shape in zip(self.STEM + self.HEAD, [
+                (c.patch_size * c.patch_size * c.channels, e), (e,), (1, 1, e),
+                (1, 1 + c.num_patches, e), (e,), (e,), (e, c.num_classes), (c.num_classes,)]):
+            setattr(self, name, leaf(shape))
+        self.blocks = []
+        for b in blocks:
+            btype = b["type"]
+            idx = {f"{kind}_idx": np.asarray(b[f"{kind}_idx"]) for kind in MASK_KINDS[btype]}
+            n_in, n_out, inner = map(len, idx.values())
+            g1, g2 = inner_groups(btype, c.heads)
+            shapes = [(e,), (e,), (n_in, g1 * inner), (g1 * inner,), (g2 * inner, n_out), (n_out,)]
+            self.blocks.append({"type": btype, **idx,
+                                **dict(zip(self.BLOCK_KEYS[btype], map(leaf, shapes)))})
 
     def block_weights(self, i):
         """Block i's tensors in ``BLOCK_KEYS`` order."""
@@ -304,35 +320,18 @@ class MaskedVit(_Trunk):
     block keeps all of its channels."""
 
     def __init__(self, config: VitConfig, seed=0, dtype=np.float32):
+        """Full-range index lists; layernorm gains 1, biases 0, every other
+        tensor a truncated normal drawn from ``seed`` in ``parameters()`` order."""
+        super().__init__(config, [
+            {"type": config.block_type(i),
+             **{f"{kind}_idx": np.arange(n) for kind, n in config.mask_sizes(i).items()}}
+            for i in range(config.num_blocks)], dtype)
         rng = np.random.default_rng(seed)
-        c = config
-
-        def param(name, shape):
-            if name.endswith("_g"):
-                arr = np.ones(shape)
-            elif name.endswith("_b") or name.startswith("b_"):
-                arr = np.zeros(shape)
-            else:
-                arr = _trunc_normal(rng, shape)
-            return Tensor(arr.astype(dtype), requires_grad=True)
-
-        e = c.embed_dim
-        shapes = {"patch_w": (c.patch_size * c.patch_size * c.channels, e), "patch_b": (e,),
-                  "cls_token": (1, 1, e), "pos_embed": (1, 1 + c.num_patches, e),
-                  "ln_f_g": (e,), "ln_f_b": (e,), "head_w": (e, c.num_classes),
-                  "head_b": (c.num_classes,)}
-        trunk = {name: param(name, shapes[name]) for name in self.STEM}
-        blocks = []
-        for i in range(c.num_blocks):
-            btype, sizes = c.block_type(i), c.mask_sizes(i)
-            g1, g2 = inner_groups(btype, c.heads)
-            _, _, inner = sizes.values()
-            b = {"type": btype, **{f"{kind}_idx": np.arange(n) for kind, n in sizes.items()}}
-            b.update((key, param(key, shape)) for key, shape in zip(self.BLOCK_KEYS[btype], [
-                (e,), (e,), (e, g1 * inner), (g1 * inner,), (g2 * inner, e), (e,)]))
-            blocks.append(b)
-        trunk.update((name, param(name, shapes[name])) for name in self.HEAD)
-        super().__init__(config, trunk, blocks, dtype)
+        for t in self.parameters():  # the 1-D tensors are the gains and the biases
+            if t.ndim > 1:
+                t.data[...] = _trunc_normal(rng, t.shape)
+        for t in [self.ln_f_g, *(b["ln_g"] for b in self.blocks)]:
+            t.data[...] = 1
 
     @property
     def layers(self):
@@ -397,30 +396,26 @@ class CompactVit(_Trunk):
     @classmethod
     def from_masked(cls, model: MaskedVit, masks: MaskSet):
         c = model.config
-
-        def leaf(a):
-            return Tensor(np.array(a, order="C"), requires_grad=True)
-
-        trunk = {name: leaf(getattr(model, name).data) for name in cls.STEM + cls.HEAD}
-        e = c.embed_dim
         blocks = []
         for i in range(c.num_blocks):
-            btype = c.block_type(i)
             idx = masks.kept_indices(i)
-            for kind, kept in idx.items():
-                if kept.size == 0:
-                    raise ValueError(f"block {i} mask '{kind}' compacted to zero channels")
-            i_in, i_out, i_inner = idx.values()
+            if empty := [kind for kind, kept in idx.items() if kept.size == 0]:
+                raise ValueError(f"block {i} mask '{empty[0]}' compacted to zero channels")
+            blocks.append({"type": c.block_type(i), **{f"{k}_idx": v for k, v in idx.items()}})
+        compact = cls(c, blocks, model.dtype)
+        for name in cls.STEM + cls.HEAD:
+            getattr(compact, name).data[...] = getattr(model, name).data
+        e = c.embed_dim
+        for i, b in enumerate(compact.blocks):
+            i_in, i_out, i_inner = (b[f"{kind}_idx"] for kind in MASK_KINDS[b["type"]])
             # every group of inner channels keeps the same channels
-            g1, g2 = inner_groups(btype, c.heads)
+            g1, g2 = inner_groups(b["type"], c.heads)
             ln_g, ln_b, w1, b1, w2, b2 = (t.data for t in model.block_weights(i))
-            w1 = w1.reshape(e, g1, -1)[i_in][:, :, i_inner].reshape(len(i_in), -1)
-            b1 = b1.reshape(g1, -1)[:, i_inner].reshape(-1)
-            w2 = w2.reshape(g2, -1, e)[:, i_inner][:, :, i_out].reshape(-1, len(i_out))
-            b = {"type": btype, **{f"{kind}_idx": kept for kind, kept in idx.items()}}
-            b.update(zip(cls.BLOCK_KEYS[btype], map(leaf, (ln_g, ln_b, w1, b1, w2, b2[i_out]))))
-            blocks.append(b)
-        return cls(c, trunk, blocks, model.dtype)
+            w1, b1 = w1.reshape(e, g1, -1)[i_in][:, :, i_inner], b1.reshape(g1, -1)[:, i_inner]
+            w2 = w2.reshape(g2, -1, e)[:, i_inner][:, :, i_out]
+            for t, kept in zip(compact.block_weights(i), (ln_g, ln_b, w1, b1, w2, b2[i_out])):
+                t.data[...] = kept.reshape(t.shape)
+        return compact
 
     def forward(self, images):
         x = self.embed(images)

@@ -1,4 +1,5 @@
 import os
+import struct
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # 2-core box: avoid thread thrash
 
@@ -77,3 +78,16 @@ def check_gradients(fn, tensors, rtol=1e-6, h=1e-5, sample=None, rng=None):
 
 def tensor64(arr, requires_grad=True):
     return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=requires_grad)
+
+
+def write_idx_pair(directory, images, labels):
+    """IDX image and label files ``imgs.idx`` and ``lbls.idx`` in ``directory``."""
+    ipath, lpath = directory / "imgs.idx", directory / "lbls.idx"
+    n, h, w = images.shape
+    with open(ipath, "wb") as fh:
+        fh.write(struct.pack(">IIII", 0x00000803, n, h, w))
+        fh.write(images.astype(np.uint8).tobytes())
+    with open(lpath, "wb") as fh:
+        fh.write(struct.pack(">II", 0x00000801, n))
+        fh.write(labels.astype(np.uint8).tobytes())
+    return str(ipath), str(lpath)

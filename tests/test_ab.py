@@ -1,6 +1,9 @@
 import importlib.util
+import json
+import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 spec = importlib.util.spec_from_file_location(
@@ -44,3 +47,55 @@ def test_any_incorrect_run_fails_the_comparison(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 + len(DECLARED)
     assert lines[2].split()[:4] == ["compact_infer_images_per_s_k50", "650", "840", "1.200"]
+
+
+# change / parent ratios of ten pairs; sorted: 0.7 0.8 0.9 0.95 1.0 1.05 1.1 1.2 1.3 1.4
+RATIOS = [1.0, 0.9, 1.3, 1.1, 0.8, 1.2, 1.05, 0.95, 1.4, 0.7]
+
+
+def test_median_interval_of_ten_ratios_is_second_to_ninth():
+    low, high, coverage = ab.median_interval(RATIOS)
+    assert (low, high) == (0.8, 1.3)
+    assert coverage == pytest.approx(1 - 2 * 11 / 1024)  # 97.9 %
+    assert ab.median_interval(RATIOS[:6])[:2] == (0.8, 1.3)  # r(1), r(6) of six
+
+
+def test_no_interval_below_six_ratios():
+    assert ab.median_interval(RATIOS[:5]) is None
+
+
+@pytest.mark.parametrize("n", [10, 5])
+def test_summary_prints_the_interval_beside_the_ratio(capsys, n):
+    pairs = [(result(100.0, 500.0), result(100.0 * r, 500.0 / r)) for r in RATIOS[:n]]
+    rows = ab.summarize(pairs, DECLARED)
+    ab.print_summary(rows, n)
+    header, step, _ = capsys.readouterr().out.splitlines()
+    if n == 10:
+        assert rows["step_ms_p50"]["ratio_interval"] == pytest.approx([0.8, 1.3])
+        assert rows["step_ms_p50"]["interval_coverage"] == pytest.approx(0.9785, abs=1e-4)
+        assert "97.9% interval" in header
+        assert step.split()[3:6] == ["1.025", "[0.800,", "1.300]"]
+    else:
+        assert rows["step_ms_p50"]["ratio_interval"] is None
+        assert "no interval" in header
+        assert step.split()[3:5] == ["1.000", "-"]
+
+
+def test_out_file_records_the_environment_and_intervals(tmp_path, monkeypatch):
+    root = Path(__file__).resolve().parent.parent
+    declared = json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
+
+    def run_once(run_root, workload, seed, seconds):
+        return {"correct": True, "metrics": {m["name"]: {"value": float(seed)} for m in declared}}
+
+    monkeypatch.setattr(ab, "run_once", run_once)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    out = tmp_path / "bench.json"
+    assert ab.main([str(root), str(root), "--workload", "prune-desk24", "--pairs", "6",
+                    "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert record["openblas_num_threads"] == "1"
+    assert record["numpy"] == np.__version__
+    assert record["python"] == platform.python_version()
+    row = record["workloads"]["prune-desk24"]["metrics"]["wall_s"]
+    assert row["ratio_interval"] == [1.0, 1.0] and row["interval_coverage"] == 1 - 2 / 64

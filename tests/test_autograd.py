@@ -90,6 +90,12 @@ class TestElementwise:
         x = tensor64(rng.normal(size=(4, 3)))
         check_gradients(lambda: ag.tsum(op(x)), [x])
 
+    @pytest.mark.parametrize("op", [ag.gelu, ag.sigmoid, ag.softplus])
+    def test_unary_gradients_0d(self, op):
+        x = tensor64(np.float64(-0.7))
+        check_gradients(lambda: ag.tsum(op(x)), [x])
+        assert x.grad.shape == ()
+
     def test_binary_broadcast_gradients(self):
         rng = np.random.default_rng(6)
         a = tensor64(rng.normal(size=(2, 5, 3)))
@@ -192,7 +198,7 @@ class TestAttention:
 
 class TestGeluNoGrad:
     @pytest.mark.parametrize("shape", [(1, 7), (512, 7), (513, 7), (1000, 33), (9,),
-                                       (2, 3, 4, 5)])
+                                       (2, 3, 4, 5), ()])
     def test_bit_equal_to_recorded_forward(self, shape):
         x = Tensor(np.random.default_rng(8).normal(size=shape).astype(np.float32),
                    requires_grad=True)

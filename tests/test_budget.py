@@ -107,6 +107,20 @@ class TestAllocate:
     def test_infeasible_target(self):
         with pytest.raises(BudgetInfeasibleError):
             allocate([0.5, 0.5], [10, 10], keep_target=0.02, keep_floor=0.05)
+        # a zero-importance block stays at the floor, so the rest cannot fill 0.9
+        with pytest.raises(BudgetInfeasibleError, match="all blocks at bounds give 0.525000"):
+            allocate([1, 0], [10, 10], keep_target=0.9, keep_floor=0.05)
+
+    # the second target lies past the last clip event, within the solver's tolerance
+    @pytest.mark.parametrize("target", [0.525, 0.525 + 1e-8])
+    def test_target_reached_with_every_block_at_a_bound(self, target):
+        sol = allocate([1, 0], [10, 10], keep_target=target, keep_floor=0.05)
+        assert np.array_equal(sol.keep_ratios, [1.0, 0.05])
+        assert abs(sol.achieved - 0.525) < 1e-12
+
+    def test_all_zero_importance_falls_back_to_uniform(self):
+        sol = allocate([0.0, 0.0, 0.0], [10, 20, 30], keep_target=0.4, keep_floor=0.05)
+        assert np.allclose(sol.keep_ratios, 0.4, atol=1e-12)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(2)

@@ -12,6 +12,8 @@ from blockprune.config import config_from_dict, load_config
 from blockprune.errors import ConfigError, DataFormatError, NumericError
 from blockprune.vit import CompactVit, MaskSet, MaskedVit, VitConfig
 
+from conftest import write_idx_pair
+
 MICRO = {
     "model": {"image_size": 8, "patch_size": 4, "embed_dim": 8, "heads": 2,
               "depth": 2, "mlp_ratio": 2.0, "num_classes": 3,
@@ -238,6 +240,26 @@ class TestCheckpoints:
             b = loaded.forward(Tensor(x)).data
         assert np.array_equal(a, b)
 
+    def test_compact_load_builds_no_masked_model(self, tmp_path, monkeypatch):
+        cfg = VitConfig(image_size=8, patch_size=4, embed_dim=8, heads=2, depth=2,
+                        mlp_ratio=2.0, num_classes=3)
+        masks = MaskSet(cfg)
+        masks.set_block(2, {"in": np.where(np.arange(8) % 3, 1.0, 0.0)})
+        compact = CompactVit.from_masked(MaskedVit(cfg, seed=2), masks)
+        path = tmp_path / "c.ckpt"
+        save_compact(path, compact)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a compact load built a masked model")
+
+        for name in ("MaskedVit", "MaskSet"):
+            monkeypatch.setattr(checkpoint, name, refuse)
+        monkeypatch.setattr(CompactVit, "from_masked", refuse)
+        loaded, masks = checkpoint.load(path)
+        assert masks is None and np.array_equal(loaded.blocks[2]["in_idx"], [1, 2, 4, 5, 7])
+        for a, b in zip(compact.parameters(), loaded.parameters()):
+            assert np.array_equal(a.data, b.data)
+
     @pytest.mark.parametrize("case", CORRUPTIONS)
     def test_corrupt_header_exits_5(self, tmp_path, case):
         cfg = VitConfig(image_size=8, patch_size=4, embed_dim=8, heads=2, depth=2,
@@ -454,6 +476,28 @@ class TestCommands:
         assert code == 0
         assert "val acc" in capsys.readouterr().out
         assert len(reads) == 1
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_idx_data(self, tmp_path, capsys, channels):
+        rng = np.random.default_rng(0)
+        data = {"source": "idx"}
+        for split, n in (("train", 12), ("val", 6)):
+            (tmp_path / split).mkdir()
+            keys = ("images", "labels") if split == "train" else ("val_images", "val_labels")
+            data.update(zip(keys, write_idx_pair(tmp_path / split, rng.integers(0, 256, (n, 8, 8)),
+                                                 np.arange(n) % 3)))
+        out = tmp_path / "run"
+        cfgp = micro_config_file(tmp_path, out=str(out), model={"channels": channels}, data=data)
+        capsys.readouterr()
+        if channels != 1:
+            for command in ("train", "prune"):
+                assert cli.main([command, "--config", cfgp]) == ConfigError.exit_code
+                assert len(capsys.readouterr().err.strip().splitlines()) == 1
+            assert not out.exists()
+            return
+        assert cli.main(["train", "--config", cfgp]) == 0
+        assert cli.main(["eval", "--config", cfgp, str(out / "checkpoint-final.ckpt")]) == 0
+        assert "val acc" in capsys.readouterr().out
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.yaml"

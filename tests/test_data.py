@@ -7,6 +7,8 @@ from blockprune.data import (Dataset, SyntheticSpec, batch_iter,
                              generate_synthetic, load_idx)
 from blockprune.errors import DataFormatError
 
+from conftest import write_idx_pair
+
 
 class TestSynthetic:
     def test_deterministic(self):
@@ -38,18 +40,6 @@ class TestSynthetic:
         spec = SyntheticSpec(train_per_class=3, val_per_class=3, seed=0)
         train, val, _ = generate_synthetic(spec)
         assert not np.array_equal(train.images[:len(val)], val.images)
-
-
-def write_idx_pair(tmp_path, images, labels):
-    ipath, lpath = tmp_path / "imgs.idx", tmp_path / "lbls.idx"
-    n, h, w = images.shape
-    with open(ipath, "wb") as fh:
-        fh.write(struct.pack(">IIII", 0x00000803, n, h, w))
-        fh.write(images.astype(np.uint8).tobytes())
-    with open(lpath, "wb") as fh:
-        fh.write(struct.pack(">II", 0x00000801, n))
-        fh.write(labels.astype(np.uint8).tobytes())
-    return str(ipath), str(lpath)
 
 
 class TestIdxLoader:
@@ -131,6 +121,26 @@ class TestBatching:
         c = [b[1].tolist() for b in batch_iter(ds, 4, seed=7, epoch=4)]
         assert a == b
         assert a != c
+
+    def test_flip_mirrors_some_images_deterministically(self):
+        n = 40
+        rng = np.random.default_rng(2)
+        # one label per image, so a label names its source image
+        ds = Dataset(rng.uniform(size=(n, 4, 5, 2)).astype(np.float32), np.arange(n), n)
+        before = ds.images.copy()
+        runs = [list(batch_iter(ds, 8, seed=3, epoch=1, flip=True)) for _ in range(2)]
+        for (xa, ya), (xb, yb) in zip(*runs):
+            assert np.array_equal(xa, xb) and np.array_equal(ya, yb)
+        plain = batch_iter(ds, 8, seed=3, epoch=1)
+        assert [y.tolist() for _, y in runs[0]] == [y.tolist() for _, y in plain]
+        mirrored = []
+        for images, labels in runs[0]:
+            for image, k in zip(images, labels):
+                mirrored.append(not np.array_equal(image, ds.images[k]))
+                if mirrored[-1]:
+                    assert np.array_equal(image, ds.images[k][:, ::-1])
+        assert len(mirrored) == n and any(mirrored) and not all(mirrored)
+        assert np.array_equal(ds.images, before)
 
     def test_invalid_batch_size(self):
         with pytest.raises(ValueError):

@@ -179,6 +179,20 @@ class TestBlockLayout:
             for kind, size in TINY.mask_sizes(i).items():
                 assert np.array_equal(b[f"{kind}_idx"], np.arange(size))
 
+    def test_index_lists_give_every_shape(self):
+        e, c = TINY.embed_dim, TINY.num_classes
+        blocks = [{"type": "attn", "in_idx": [0, 3, 5], "out_idx": [1], "e_idx": [0, 2]},
+                  {"type": "mlp", "in_idx": [7], "out_idx": [2, 4], "hid_idx": [0, 1, 9, 15]}]
+        model = CompactVit(TINY, blocks * TINY.depth, np.float64)
+        shapes = [(16, e), (e,), (1, 1, e), (1, 5, e)]
+        shapes += [(e,), (e,), (3, 3 * 2 * 2), (3 * 2 * 2,), (2 * 2, 1), (1,),
+                   (e,), (e,), (1, 4), (4,), (4, 2), (2,)] * TINY.depth
+        shapes += [(e,), (e,), (e, c), (c,)]
+        assert [t.shape for t in model.parameters()] == shapes
+        for t in model.parameters():
+            assert t.requires_grad and t.dtype == np.float64 and not t.data.any()
+        assert np.array_equal(model.blocks[1]["hid_idx"], [0, 1, 9, 15])
+
 
 class TestMaskGradients:
     def test_shapes_match_masks(self):

@@ -9,18 +9,23 @@ ones, so a slow drift of the host weighs on both sides alike. Every run is
 its own subprocess, started from its checkout's root.
 
 For every end-to-end metric of ``BENCHMARK.json`` it prints the parent's and
-the change's median, the median of the per-pair ratios change / parent, and
-the pairs the change won, in the metric's ``better`` direction. It writes
-every value, both git shas and ``nproc`` to ``--out``; a file that already
-holds the same two shas keeps its other workloads. It exits 1 if any run's
+the change's median, the median of the per-pair ratios change / parent with
+a distribution-free interval for it (``median_interval``; none below 6
+pairs), and the pairs the change won, in the metric's ``better`` direction.
+It writes every value, both git shas, ``nproc``, ``OPENBLAS_NUM_THREADS``
+and the numpy and Python versions to ``--out``; a file that already holds
+the same two shas keeps its other workloads. It exits 1 if any run's
 ``correct`` is false.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
+import math
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -40,6 +45,26 @@ def run_once(root, workload, seed, seconds):
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
+def median_interval(ratios):
+    """(low, high, coverage) of a distribution-free interval for the median of
+    ``ratios``: the order statistics r(k) and r(n + 1 - k), with k the largest
+    value for which P(Binom(n, 1/2) <= k - 1) <= 0.025, so that the interval
+    misses the median with probability 2 P(Binom(n, 1/2) <= k - 1). None
+    below 6 values, where no k qualifies."""
+    n = len(ratios)
+
+    def below(k):  # P(Binom(n, 1/2) <= k - 1)
+        return sum(math.comb(n, j) for j in range(k)) / 2 ** n
+
+    k = 0
+    while below(k + 1) <= 0.025:
+        k += 1
+    if k == 0:
+        return None
+    r = sorted(ratios)
+    return r[k - 1], r[n - k], 1 - 2 * below(k)
+
+
 def summarize(pairs, declared):
     """Per end-to-end metric: parent and change medians, median per-pair
     ratio and wins. ``pairs`` is a list of (parent result, change result)
@@ -50,6 +75,8 @@ def summarize(pairs, declared):
         name, higher = metric["name"], metric["better"] == "higher"
         a = [p["metrics"][name]["value"] for p, _ in pairs]
         b = [c["metrics"][name]["value"] for _, c in pairs]
+        ratios = [y / x for x, y in zip(a, b)]
+        interval = median_interval(ratios)
         rows[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
@@ -57,7 +84,10 @@ def summarize(pairs, declared):
             "change": b,
             "parent_median": statistics.median(a),
             "change_median": statistics.median(b),
-            "ratio_median": statistics.median(y / x for x, y in zip(a, b)),
+            "ratios": ratios,
+            "ratio_median": statistics.median(ratios),
+            "ratio_interval": None if interval is None else list(interval[:2]),
+            "interval_coverage": None if interval is None else interval[2],
             "wins": sum((y > x) if higher else (y < x) for x, y in zip(a, b)),
         }
     return rows
@@ -68,10 +98,14 @@ def all_correct(pairs):
 
 
 def print_summary(rows, n):
-    print(f"{'metric':34s} {'parent':>11s} {'change':>11s} {'ratio':>7s}  wins")
+    coverage = next(iter(rows.values()))["interval_coverage"] if rows else None
+    label = f"{coverage:.1%} interval" if coverage else "no interval"
+    print(f"{'metric':34s} {'parent':>11s} {'change':>11s} {'ratio':>7s} {label:>16s}  wins")
     for name, r in rows.items():
+        interval = "[{:.3f}, {:.3f}]".format(*r["ratio_interval"]) if coverage else "-"
         print(f"{name:34s} {r['parent_median']:11.5g} {r['change_median']:11.5g} "
-              f"{r['ratio_median']:7.3f}  {r['wins']}/{n} ({r['better']} is better)")
+              f"{r['ratio_median']:7.3f} {interval:>16s}  {r['wins']}/{n} "
+              f"({r['better']} is better)")
 
 
 def git_sha(root):
@@ -109,9 +143,12 @@ def main(argv=None):
 
     shas = {"parent": git_sha(parent), "change": git_sha(change)}
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
-    if {k: record.get(k) for k in shas} != shas:
+    if not record or {k: record.get(k) for k in shas} != shas:
         record = {**shas, "workloads": {}}
     record["nproc"] = len(os.sched_getaffinity(0))
+    record["openblas_num_threads"] = os.environ.get("OPENBLAS_NUM_THREADS", "")
+    record["numpy"] = importlib.metadata.version("numpy")
+    record["python"] = platform.python_version()
     record["workloads"][args.workload] = {
         "pairs": args.pairs, "seeds": list(range(1, args.pairs + 1)), "order": "ABBA",
         "correct": [[a["correct"], b["correct"]] for a, b in pairs], "metrics": rows}
