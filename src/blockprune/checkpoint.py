@@ -181,7 +181,7 @@ def _load(path, header, config, values, dtype):
         blocks = _structure(path, header["structure"], config)
         model, masks = CompactVit(config, blocks, dtype), None
     else:
-        model, masks = MaskedVit(config, seed=0, dtype=dtype), MaskSet(config, dtype=dtype)
+        model, masks = MaskedVit(config, seed=None, dtype=dtype), MaskSet(config, dtype=dtype)
     for name, t in _entries(model, masks):
         if name not in values:
             raise DataFormatError(f"{path}: missing entry '{name}'")

@@ -216,12 +216,13 @@ def load_config(path=None, overrides=None):
     raw = {}
     if path is not None:
         try:
-            with open(path) as fh:
+            with open(path, "rb") as fh:  # PyYAML decodes, and rejects bad bytes
                 raw = yaml.safe_load(fh)
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {path}") from exc
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
+        except yaml.YAMLError as exc:  # its message spans lines; keep one
+            raise ConfigError(f"cannot parse config file {path}: "
+                              f"{' '.join(str(exc).split())}") from exc
     cfg = config_from_dict(raw)
     for key, value in (overrides or {}).items():
         if value is None:

@@ -111,6 +111,8 @@ def load_idx(images_path, labels_path, image_size=32, num_classes=None, split="t
     if raw_images.shape[0] != raw_labels.shape[0]:
         raise DataFormatError(
             f"image/label count mismatch: {raw_images.shape[0]} vs {raw_labels.shape[0]}")
+    if raw_images.shape[0] == 0:
+        raise DataFormatError(f"{images_path}: IDX file holds no images")
     images = (raw_images.astype(np.float32) / 255.0)[..., None]
     images = _resize_nearest(images, image_size)
     labels = raw_labels.astype(np.int64)

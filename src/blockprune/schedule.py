@@ -52,28 +52,19 @@ def sharpness_ramp(progress, init, floor):
 
 @dataclass
 class PruneSchedule:
+    """The run's clock; every other setting comes from the run config."""
     epochs_warmup: int
     epochs_sparsify: int
     epochs_sharpen: int
     epochs_finetune: int
     mask_update_freq: int          # steps between updates; 0 resolves to one epoch
     keep_target: float
-    sharpness_init: float = 0.1
-    sharpness_floor: float = 5e-3
-    update_masks_during_sharpen: bool = True
 
     @classmethod
     def from_config(cls, cfg):
-        s, p = cfg.schedule, cfg.pruning
-        return cls(epochs_warmup=s.epochs_warmup,
-                   epochs_sparsify=s.epochs_sparsify,
-                   epochs_sharpen=s.epochs_sharpen,
-                   epochs_finetune=s.epochs_finetune,
-                   mask_update_freq=s.mask_update_freq,
-                   keep_target=p.keep_ratio,
-                   sharpness_init=p.sharpness,
-                   sharpness_floor=p.sharpness_floor,
-                   update_masks_during_sharpen=s.update_masks_during_sharpen)
+        s = cfg.schedule
+        return cls(s.epochs_warmup, s.epochs_sparsify, s.epochs_sharpen, s.epochs_finetune,
+                   s.mask_update_freq, cfg.pruning.keep_ratio)
 
     @property
     def pruning_epochs(self):
@@ -151,14 +142,14 @@ class PruningRun:
         self.train_ds = train_ds
         self.val_ds = val_ds
         self.cfg = run_config
-        self.metrics = metrics
+        self.metrics = metrics or MetricsWriter(None)  # in memory unless given
         self.step_callback = step_callback
         self.verify_stop_gradient = verify_stop_gradient
 
         self.steps_per_epoch = max(1, -(-len(train_ds) // run_config.schedule.batch_size))
         freq = schedule.mask_update_freq or self.steps_per_epoch
         self.update_freq = max(1, freq)
-        self.sharpness = schedule.sharpness_init
+        self.sharpness = run_config.pruning.sharpness
         self.global_step = 0
         self.current_keep = 1.0
 
@@ -231,11 +222,10 @@ class PruningRun:
             vals = values_from_order(order, k, self.sharpness, p.mask_ref)
             self.masks.set_block(i, split_by_kind(r, vals))
         totals, remaining = self.model.param_totals(self.masks)
-        if self.metrics:
-            for i in range(len(self.geoms)):
-                self.metrics.update(
-                    self.global_step, i + 1, self.geoms[i].block_type,
-                    bp_class[i], bp_patch[i], remaining[i] / totals[i], int(remaining[i]))
+        for i in range(len(self.geoms)):
+            self.metrics.update(
+                self.global_step, i + 1, self.geoms[i].block_type,
+                bp_class[i], bp_patch[i], remaining[i] / totals[i], int(remaining[i]))
 
     # -- phase loops ---------------------------------------------------------
 
@@ -244,25 +234,23 @@ class PruningRun:
         return float(remaining.sum() / totals.sum())
 
     def _after_step(self, phase):
-        """Mask update when one is due, then the step callback."""
-        if self.global_step % self.update_freq == 0:
-            s = self.schedule
-            sparsify_steps = max(1, s.epochs_sparsify * self.steps_per_epoch)
-            sharpen_steps = max(1, s.epochs_sharpen * self.steps_per_epoch)
+        """Mask update when one is due past warm-up, then the step callback."""
+        if phase != WARMUP and self.global_step % self.update_freq == 0:
+            s, p = self.schedule, self.cfg.pruning
             warm_steps = s.epochs_warmup * self.steps_per_epoch
-            past_warm = self.global_step > warm_steps
+            sparsify_steps = max(1, s.epochs_sparsify * self.steps_per_epoch)
+            if phase == SPARSIFY:
+                prog = min(1.0, (self.global_step - warm_steps) / sparsify_steps)
+                self.current_keep = intermediate_target(prog, s.keep_target)
+            else:
+                self.current_keep = s.keep_target
             if phase == SHARPEN:
-                q = (self.global_step - warm_steps - sparsify_steps) / sharpen_steps
+                q = ((self.global_step - warm_steps - sparsify_steps)
+                     / max(1, s.epochs_sharpen * self.steps_per_epoch))
                 self.sharpness = sharpness_ramp(min(max(q, 0.0), 1.0),
-                                                s.sharpness_init, s.sharpness_floor)
-            if past_warm:
-                if phase == SPARSIFY:
-                    prog = min(1.0, (self.global_step - warm_steps) / sparsify_steps)
-                    self.current_keep = intermediate_target(prog, s.keep_target)
-                else:
-                    self.current_keep = s.keep_target
-                if phase != SHARPEN or s.update_masks_during_sharpen:
-                    self._update_masks(self.current_keep)
+                                                p.sharpness, p.sharpness_floor)
+            if phase != SHARPEN or self.cfg.schedule.update_masks_during_sharpen:
+                self._update_masks(self.current_keep)
         if self.step_callback:
             self.step_callback(self)
 
@@ -273,45 +261,38 @@ class PruningRun:
         return batch_iter(self.train_ds, self.cfg.schedule.batch_size, self.cfg.seed,
                           epoch, flip=self.cfg.data.flip)
 
-    def _run_pruning_epochs(self):
-        for epoch in range(self.schedule.pruning_epochs):
+    def _epochs(self, epochs, model, masks, optimizers, step, after_step=None, acc=None):
+        """Each epoch in ``epochs``: train ``model`` on its batches, evaluate
+        it and write one metrics row. Returns the last validation accuracy,
+        or ``acc`` when ``epochs`` is empty."""
+        for epoch in epochs:
             phase = self.schedule.phase_of(epoch)
-            loss = train_epoch(self._batches(epoch), [self.model_opt, self.heads.optimizer],
-                               self._train_step, self._where, lambda: self._after_step(phase))
-            acc, _ = evaluate(self.model, self.val_ds, masks=self.masks)
-            if self.metrics:
-                self.metrics.epoch(epoch, phase, loss, acc, self.kappa_global(),
-                                   self.sharpness)
-
-    def _finetune(self, compact, acc):
-        """Train the compact model; returns its last validation accuracy, or
-        ``acc`` when there are no fine-tune epochs."""
-        s, cfg = self.schedule, self.cfg
-        lr = cfg.optimizer.lr_finetune or cfg.optimizer.lr_model
-        opt = AdamW(compact.parameters(), lr=lr, weight_decay=cfg.optimizer.weight_decay)
-        kappa = self.kappa_global()
-
-        def step(x, labels):
-            self.global_step += 1
-            loss = finite_loss(compact.forward(x), labels)
-            ag.backward(loss)
-            return loss
-
-        for epoch in range(s.pruning_epochs, s.pruning_epochs + s.epochs_finetune):
-            loss = train_epoch(self._batches(epoch), [opt], step, self._where)
-            acc, _ = evaluate(compact, self.val_ds)
-            if self.metrics:
-                self.metrics.epoch(epoch, FINETUNE, loss, acc, kappa, self.sharpness)
+            loss = train_epoch(self._batches(epoch), optimizers, step, self._where,
+                               after_step and (lambda: after_step(phase)))
+            acc, _ = evaluate(model, self.val_ds, masks=masks)
+            self.metrics.epoch(epoch, phase, loss, acc, self.kappa_global(), self.sharpness)
         return acc
 
     def run(self):
         """Execute all four phases; returns (compact model, summary dict)."""
         started = time.time()
-        self._run_pruning_epochs()
+        s, opt_cfg = self.schedule, self.cfg.optimizer
+        self._epochs(range(s.pruning_epochs), self.model, self.masks,
+                     [self.model_opt, self.heads.optimizer], self._train_step, self._after_step)
         masked_acc, _ = evaluate(self.model, self.val_ds, masks=self.masks)
         compact = CompactVit.from_masked(self.model, self.masks)
         compact_acc, _ = evaluate(compact, self.val_ds)
-        final_acc = self._finetune(compact, compact_acc)
+        opt = AdamW(compact.parameters(), lr=opt_cfg.lr_finetune or opt_cfg.lr_model,
+                    weight_decay=opt_cfg.weight_decay)
+
+        def finetune_step(x, labels):
+            self.global_step += 1
+            loss = finite_loss(compact.forward(x), labels)
+            ag.backward(loss)
+            return loss
+
+        final_acc = self._epochs(range(s.pruning_epochs, s.pruning_epochs + s.epochs_finetune),
+                                 compact, None, [opt], finetune_step, acc=compact_acc)
         totals, remaining = self.model.param_totals(self.masks)
         summary = {
             "val_acc_masked": masked_acc,

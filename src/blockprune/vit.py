@@ -50,6 +50,13 @@ class VitConfig:
     channels: int = 1
 
     def __post_init__(self):
+        # a checkpoint header reaches here without the YAML path's type checks
+        for name in ("image_size", "patch_size", "embed_dim", "heads", "depth",
+                     "num_classes", "channels"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if type(self.mlp_ratio) not in (int, float) or not math.isfinite(self.mlp_ratio):
+            raise ValueError(f"mlp_ratio must be a finite number, got {self.mlp_ratio!r}")
         for name in ("image_size", "patch_size", "embed_dim", "heads", "channels"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -321,11 +328,14 @@ class MaskedVit(_Trunk):
 
     def __init__(self, config: VitConfig, seed=0, dtype=np.float32):
         """Full-range index lists; layernorm gains 1, biases 0, every other
-        tensor a truncated normal drawn from ``seed`` in ``parameters()`` order."""
+        tensor a truncated normal drawn from ``seed`` in ``parameters()`` order.
+        With ``seed=None`` every tensor stays zero, for a loader to fill."""
         super().__init__(config, [
             {"type": config.block_type(i),
              **{f"{kind}_idx": np.arange(n) for kind, n in config.mask_sizes(i).items()}}
             for i in range(config.num_blocks)], dtype)
+        if seed is None:
+            return
         rng = np.random.default_rng(seed)
         for t in self.parameters():  # the 1-D tensors are the gains and the biases
             if t.ndim > 1:

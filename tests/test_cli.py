@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
-from blockprune import checkpoint, cli
+from blockprune import checkpoint, cli, vit
 from blockprune.autograd import Tensor, no_grad
 from blockprune.checkpoint import MAGIC, load_compact, load_masked, save_compact, save_masked
 from blockprune.config import config_from_dict, load_config
@@ -50,6 +50,16 @@ BAD_CONFIGS = [
     {"pruning": {"sharpness_floor": math.inf}},
     {"pruning": {"scale_in": math.nan}},
     {"pruning": {"scale_in": "nan"}},
+    # the remaining checks of validate() and _typed, and a section that is not a mapping
+    {"pruning": {"alpha": 1.5}},
+    {"pruning": {"alpha": "abc"}},
+    {"pruning": {"mask_ref": 1.0}},
+    {"pruning": {"sharpness": 0.0}},
+    {"pruning": {"keep_ratio": 0.3, "keep_floor": 0.4}},
+    {"schedule": {"batch_size": 0}},
+    {"schedule": {"mask_update_freq": -1}},
+    {"model": {"patch_head": "vit"}},
+    {"pruning": 5},
 ]
 
 # ways to break a compact checkpoint's header; each ended in a traceback or
@@ -62,7 +72,8 @@ CORRUPTIONS = ["missing kind", "missing structure", "unknown config key", "zero 
                "repeated entry name", "block entry shape swapped", "trunk entry shape swapped",
                "attention item without e_idx", "index list empty", "index at its width",
                "negative index", "duplicate index", "unsorted index list",
-               "index list not a list", "index list one short", "non-finite entry"]
+               "index list not a list", "index list one short", "non-finite entry",
+               "float image size", "bool heads", "string mlp ratio"]
 
 
 def header_of(path):
@@ -93,6 +104,12 @@ def corrupted(case, header, blob):
         header["config"]["dropout"] = 0.1
     elif case == "zero heads":
         header["config"]["heads"] = 0
+    elif case == "float image size":
+        header["config"]["image_size"] = 8.0
+    elif case == "bool heads":
+        header["config"]["heads"] = True
+    elif case == "string mlp ratio":  # int("2" * 8) channels wide, if taken
+        header["config"]["mlp_ratio"] = "2"
     elif case == "missing entry":
         entry = header["entries"].pop()
         assert entry["name"] == "head_b"
@@ -189,6 +206,8 @@ class TestConfig:
         assert cfg.frozen is True
         assert cfg.out == "elsewhere"
         assert cfg.optimizer.lr_model == 1e-3
+        with pytest.raises(ConfigError, match="unknown override 'bogus'"):
+            load_config(path, {"bogus": 1})
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
@@ -213,6 +232,20 @@ class TestCheckpoints:
         for ba, bb in zip(masks.blocks, masks2.blocks):
             for kind in ba:
                 assert np.array_equal(ba[kind].data, bb[kind].data)
+
+    def test_masked_load_draws_no_weights(self, tmp_path, monkeypatch):
+        cfg = VitConfig(image_size=8, patch_size=4, embed_dim=8, heads=2, depth=2,
+                        mlp_ratio=2.0, num_classes=3)
+        model = MaskedVit(cfg, seed=4)
+        save_masked(tmp_path / "m.ckpt", model, MaskSet(cfg))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a masked load drew weights that the file overwrites")
+
+        monkeypatch.setattr(vit, "_trunc_normal", refuse)
+        loaded, _ = load_masked(tmp_path / "m.ckpt")
+        for a, b in zip(model.parameters(), loaded.parameters()):
+            assert np.array_equal(a.data, b.data)
 
     def test_compact_round_trip(self, tmp_path):
         cfg = VitConfig(image_size=8, patch_size=4, embed_dim=8, heads=2, depth=2,
@@ -498,15 +531,40 @@ class TestCommands:
         assert cli.main(["train", "--config", cfgp]) == 0
         assert cli.main(["eval", "--config", cfgp, str(out / "checkpoint-final.ckpt")]) == 0
         assert "val acc" in capsys.readouterr().out
+        # a split of 0 images once trained on nothing or ended in a traceback
+        for split, keys in (("train", ("images", "labels")), ("val", ("val_images", "val_labels"))):
+            (tmp_path / f"empty-{split}").mkdir()
+            paths = write_idx_pair(tmp_path / f"empty-{split}", np.zeros((0, 8, 8)), np.zeros(0))
+            cfgp = micro_config_file(tmp_path, out=str(tmp_path / f"run-{split}"),
+                                     data={**data, **dict(zip(keys, paths))})
+            for command in ("train", "prune"):
+                assert cli.main([command, "--config", cfgp]) == DataFormatError.exit_code
+                err = capsys.readouterr().err.strip().splitlines()
+                assert len(err) == 1 and paths[0] in err[0]
 
-    def test_config_error_exit_code(self, tmp_path):
+    def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
-        bad.write_text("pruning: {keep_ratio: 2.0}\n")
-        assert cli.main(["train", "--config", str(bad)]) == ConfigError.exit_code
+        # a bad value, a root that is not a mapping, a YAML syntax error whose
+        # message spans four lines, and bytes that are not UTF-8
+        for text in (b"pruning: {keep_ratio: 2.0}\n", b"- 1\n- 2\n",
+                     b"model: {image_size: 8\nseed: 1\n", b"seed: \xff\xfe\n"):
+            bad.write_bytes(text)
+            capsys.readouterr()
+            assert cli.main(["train", "--config", str(bad)]) == ConfigError.exit_code
+            assert len(capsys.readouterr().err.strip().splitlines()) == 1, text
         for i, raw in enumerate(BAD_CONFIGS):
             path = micro_config_file(tmp_path, out=str(tmp_path / f"bad{i}"), **raw)
             for command in ("train", "prune"):
                 assert cli.main([command, "--config", path]) == ConfigError.exit_code, raw
+
+    def test_out_under_a_file_exits_5(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        path = micro_config_file(tmp_path)
+        capsys.readouterr()
+        assert cli.main(["train", "--config", path, "--out",
+                         str(tmp_path / "file" / "run")]) == DataFormatError.exit_code
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("i/o error:")
 
     def test_abort_keeps_completed_epochs(self, tmp_path, monkeypatch):
         class AbortInSecondEpoch(cli.PruningRun):

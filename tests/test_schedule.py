@@ -94,11 +94,47 @@ class TestPruningRun:
         run.run()
         for phase, tau in trail:
             if phase in (WARMUP, SPARSIFY):
-                assert tau == pytest.approx(sched.sharpness_init)
+                assert tau == pytest.approx(cfg.pruning.sharpness)
         sharpen_taus = [tau for phase, tau in trail if phase == SHARPEN]
-        assert sharpen_taus[-1] < sched.sharpness_init
+        assert sharpen_taus[-1] < cfg.pruning.sharpness
         assert all(a >= b for a, b in zip(sharpen_taus, sharpen_taus[1:]))
-        assert sharpen_taus[-1] >= sched.sharpness_floor
+        assert sharpen_taus[-1] >= cfg.pruning.sharpness_floor
+
+    def test_sharpness_comes_from_the_config(self):
+        # the schedule holds only the clock; the ramp's ends are the config's
+        cfg, model, masks, heads, sched, train, val = micro_setup(
+            sharpen=3, sharpness=0.2, sharpness_floor=0.02)
+        metrics = MetricsWriter(None)
+        run = PruningRun(model, masks, heads, sched, train, val, cfg, metrics)
+        assert run.sharpness == 0.2
+        run.run()
+        taus = [float(r["tau"]) for r in metrics.epoch_rows]
+        phases = [r["phase"] for r in metrics.epoch_rows]
+        assert taus[phases.index(SPARSIFY)] == 0.2
+        # the ramp reaches its floor at the last sharpen step, an update step
+        assert taus[len(phases) - 1 - phases[::-1].index(SHARPEN)] == 0.02
+        assert run.sharpness == pytest.approx(0.02)
+
+    def test_masks_frozen_in_sharpen_when_updates_are_off(self):
+        cfg, model, masks, heads, sched, train, val = micro_setup(sharpen=3)
+        cfg.schedule.update_masks_during_sharpen = False
+        trail = []
+
+        def cb(run):
+            epoch = (run.global_step - 1) // run.steps_per_epoch
+            trail.append((sched.phase_of(epoch), masks.values(), run.sharpness))
+
+        run = PruningRun(model, masks, heads, sched, train, val, cfg, step_callback=cb)
+        run.run()
+        before = [vals for phase, vals, _ in trail if phase == SPARSIFY][-1]
+        sharpen = [(vals, tau) for phase, vals, tau in trail if phase == SHARPEN]
+        assert len(sharpen) == 3 * run.steps_per_epoch
+        for vals, _ in sharpen:
+            for a, b in zip(before, vals):
+                assert all(np.array_equal(a[k], b[k]) for k in a)
+        taus = [tau for _, tau in sharpen]
+        assert taus[-1] < cfg.pruning.sharpness
+        assert all(a >= b for a, b in zip(taus, taus[1:]))
 
     def test_keep_ratio_tracks_schedule(self):
         cfg, model, masks, heads, sched, train, val = micro_setup(

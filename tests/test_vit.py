@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -41,7 +43,10 @@ class TestConfig:
             VitConfig(embed_dim=65, heads=4)
         # non-positive geometry is rejected before any division by it
         for bad in ({"heads": 0}, {"patch_size": 0}, {"image_size": 0}, {"embed_dim": 0},
-                    {"channels": 0}, {"mlp_ratio": 0.0}, {"heads": -4}, {"embed_dim": -64}):
+                    {"channels": 0}, {"mlp_ratio": 0.0}, {"heads": -4}, {"embed_dim": -64},
+                    # wrong types, as a checkpoint header can hold them
+                    {"image_size": 32.0}, {"heads": True}, {"depth": "2"},
+                    {"mlp_ratio": "2"}, {"mlp_ratio": math.inf}, {"mlp_ratio": False}):
             with pytest.raises(ValueError):
                 VitConfig(**bad)
 

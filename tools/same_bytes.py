@@ -3,10 +3,11 @@
     python3 tools/same_bytes.py PARENT_SRC CHANGE_SRC
 
 Each argument is a directory that holds the ``blockprune`` package, such as
-the ``src/`` of a checkout. For each of three seeded configurations, a micro
-run with flips and a checkpoint every epoch, a ResNet-probe variant of it and
-a variant whose zero input-mask scale makes the per-mask guard reorder the
-masks, the script runs ``train``, ``prune``, ``probe`` (on the final and the
+the ``src/`` of a checkout. For each of four seeded configurations, a micro
+run with flips and a checkpoint every epoch, a ResNet-probe variant of it, a
+variant whose zero input-mask scale makes the per-mask guard reorder the
+masks and a variant with its own sharpness ramp, no mask updates while
+sharpening and updates every 3 steps, the script runs ``train``, ``prune``, ``probe`` (on the final and the
 epoch-1 dense checkpoint), ``report`` (on the probe directory) and ``eval``
 (on the compact and the masked pruned checkpoint) once per tree. Every command runs
 in its own subprocess with that tree alone on ``PYTHONPATH``.
@@ -56,7 +57,15 @@ RESNET["schedule"].update(mask_update_freq=1, epochs_sparsify=2, epochs_finetune
 GUARD = json.loads(json.dumps(MICRO))
 GUARD["pruning"]["scale_in"] = 0.0
 
-CONFIGS = {"micro": MICRO, "resnet": RESNET, "guard": GUARD}
+# the sharpness ramp's ends and the sharpen-phase switch come from the config,
+# not from defaults of their own; an update every 3 of the 2 steps per epoch
+# writes tau between updates
+SCHEDULE = json.loads(json.dumps(MICRO))
+SCHEDULE["pruning"].update(sharpness=0.2, sharpness_floor=0.02)
+SCHEDULE["schedule"].update(update_masks_during_sharpen=False, epochs_sparsify=2,
+                            epochs_sharpen=2, mask_update_freq=3)
+
+CONFIGS = {"micro": MICRO, "resnet": RESNET, "guard": GUARD, "schedule": SCHEDULE}
 
 # (name of the stdout file, command line); paths are relative to the run's
 # working directory, so the stdout of both trees names the same paths
