@@ -4,7 +4,9 @@ Tensors wrap numpy arrays. Every primitive that produces a tensor from
 tensors with ``requires_grad`` registers itself on the global tape in
 creation order, which is a valid topological order; ``backward`` walks the
 tape once in reverse and accumulates gradients additively across fan-out.
-The tape is cleared at the start of each training step.
+A node leaves the tape as soon as it has fired, so the tape only holds nodes
+no backward has reached yet; ``optim.train_epoch`` clears what is left at
+the start of each training step.
 
 Broadcasting is restricted to numpy's trailing-dimension alignment so every
 backward rule reduces to summing the leading/size-1 axes back out.
@@ -187,19 +189,24 @@ def _check_trailing_broadcast(sa, sb):
 def backward(loss):
     """Reverse pass from a scalar loss over the current tape.
 
-    Each node fires at most once per tape lifetime, so a second backward on
-    the same tape (e.g. from a different loss head) only propagates through
-    nodes the first pass did not reach.
+    Each node that fires leaves the tape and drops its backward rule, so its
+    output and gradient are freed once it has passed its gradient on, unless
+    the caller still holds the tensor. Nodes the pass did not reach stay on
+    the tape, so a second backward (e.g. from a different loss head) runs
+    through them.
     """
     if loss.data.size != 1:
         raise ValueError("backward expects a scalar loss")
     if not np.isfinite(loss.data):
         raise NumericError("non-finite loss")
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(tape.nodes):
-        if node.grad is not None and node._backward is not None:
+    nodes = tape.nodes
+    for i in range(len(nodes) - 1, -1, -1):
+        node = nodes[i]
+        if node.grad is not None:
             node._backward(node.grad)
             node._backward = None
+            del nodes[i]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ evaluated on the feature map entering and leaving the block; the drop in
 cross-entropy between the two evaluations is the block's measured benefit
 (bp_class / bp_patch). Heads train on the block outputs only, and only
 through detached features, so no gradient ever reaches the backbone.
+``BpiHeads.step`` backpropagates each block's head loss as soon as it
+exists, so a probe graph is freed before the next block's is built.
 """
 
 from __future__ import annotations
@@ -95,12 +97,14 @@ class BpiHeads:
     # -- measurement ---------------------------------------------------------
 
     def step(self, trace, labels):
-        """Evaluate benefit of every block and return the head-training loss.
+        """Evaluate benefit of every block and train the heads' gradients.
 
         Returns (bp_class, bp_patch, loss) where the bp arrays hold the
         cross-entropy improvement from block input to block output under the
         same head, and loss is the sum of per-head losses on the block
-        outputs (what the head optimizer minimizes).
+        outputs (what the head optimizer minimizes), a value without a graph:
+        while the tape records, each block's term is backpropagated before the
+        next block is evaluated, so one probe graph is alive at a time.
         """
         if len(trace) != self.config.num_blocks:
             raise ValueError("trace length does not match block count")
@@ -118,6 +122,9 @@ class BpiHeads:
             bp_class[i] = float(before_c.data) - float(after_c.data)
             bp_patch[i] = float(before_p.data) - float(after_p.data)
             term = ag.add(after_c, after_p)
+            if term.requires_grad:
+                ag.backward(term)
+            term = term.detach()
             loss = term if loss is None else ag.add(loss, term)
         return bp_class, bp_patch, loss
 
@@ -142,9 +149,7 @@ def probe_checkpoint(model, masks, train_ds, val_ds, epochs,
     def step(x, labels):
         with ag.no_grad():
             _, trace = model.forward(x, masks)
-        _, _, loss = heads.step(trace, labels)
-        ag.backward(loss)
-        return loss
+        return heads.step(trace, labels)[2]
 
     for epoch in range(epochs):
         train_epoch(batch_iter(train_ds, batch_size, seed, epoch), [heads.optimizer], step,

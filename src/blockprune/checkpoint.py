@@ -176,19 +176,23 @@ def load_compact(path, dtype=np.float32):
 
 def _load(path, header, config, values, dtype):
     """The one loader: a compact model built from the file's ``structure``,
-    or a masked model and a fresh ``MaskSet``; then every tensor set from its entry."""
+    or a masked model and a fresh ``MaskSet``; then every tensor set from its
+    entry. Consumes ``values``; an entry the model does not read is an error."""
     if header["kind"] == "compact":
         blocks = _structure(path, header["structure"], config)
         model, masks = CompactVit(config, blocks, dtype), None
     else:
         model, masks = MaskedVit(config, seed=None, dtype=dtype), MaskSet(config, dtype=dtype)
     for name, t in _entries(model, masks):
-        if name not in values:
+        value = values.pop(name, None)
+        if value is None:
             raise DataFormatError(f"{path}: missing entry '{name}'")
-        if values[name].shape != t.shape:
+        if value.shape != t.shape:
             raise DataFormatError(f"{path}: entry '{name}' has shape "
-                                  f"{values[name].shape}, expected {t.shape}")
-        if not np.all(np.isfinite(values[name])):
+                                  f"{value.shape}, expected {t.shape}")
+        if not np.all(np.isfinite(value)):
             raise DataFormatError(f"{path}: entry '{name}' holds a non-finite value")
-        t.data = values[name].astype(dtype)
+        t.data = value.astype(dtype)
+    if values:  # what is left, in file order, is no entry of this model
+        raise DataFormatError(f"{path}: entry '{next(iter(values))}' is not in the model")
     return model, masks

@@ -186,15 +186,12 @@ class PruningRun:
         self.global_step += 1
         logits, trace = self.model.forward(x, self.masks)
         task_loss = finite_loss(logits, labels)
-        bp_class, bp_patch, head_loss = self.heads.step(trace, labels)
+        bp_class, bp_patch, _ = self.heads.step(trace, labels)  # heads' backward runs here
         if self.verify_stop_gradient:
-            ag.backward(head_loss)
             for p in self.model.parameters():
                 if p.grad is not None and np.any(p.grad != 0):
                     raise AssertionError("benefit-head loss leaked into the backbone")
-            ag.backward(task_loss)
-        else:
-            ag.backward(ag.add(task_loss, head_loss))
+        ag.backward(task_loss)
         self.taylor.add(self.masks.values(), self.masks.gradients())
         self.bp_acc.add([{"class": bp_class, "patch": bp_patch}])
         self.masks.zero_grads()

@@ -1,5 +1,6 @@
 import ctypes
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -357,6 +358,36 @@ class TestTapeMechanics:
         ag.backward(ag.tsum(top))
         assert len(calls) == 1
         assert np.allclose(x.grad, 4 * x.data)
+
+    def test_fired_node_is_freed_unless_held(self):
+        x = tensor64(np.linspace(-2.0, 2.0, 6))
+        y = ag.gelu(x)
+        data = weakref.ref(y.data)  # Tensor has no __weakref__ slot
+        loss = ag.mean(y)
+        del y
+        ag.backward(loss)
+        assert data() is None
+        assert len(ag.tape) == 0
+        assert x.grad is not None
+
+    def test_held_tensor_keeps_its_gradient(self):
+        x = tensor64([1.0, -2.0])
+        y = ag.mul(x, x)
+        ag.backward(ag.tsum(y))
+        assert np.array_equal(y.grad, [1.0, 1.0])
+        assert np.array_equal(x.grad, [2.0, -4.0])
+
+    def test_second_backward_runs_the_branch_the_first_left(self):
+        a, b = tensor64([2.0]), tensor64([3.0])
+        loss_a = ag.tsum(ag.mul(a, a))
+        loss_b = ag.tsum(ag.mul(b, b))
+        ag.backward(loss_a)
+        assert b.grad is None
+        assert len(ag.tape) == 2  # loss_b's nodes, which did not fire
+        ag.backward(loss_b)
+        assert np.array_equal(a.grad, [4.0])
+        assert np.array_equal(b.grad, [6.0])
+        assert len(ag.tape) == 0
 
     def test_no_grad_suppresses_recording(self):
         x = tensor64([1.0])

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from blockprune import autograd as ag
 from blockprune.bpi import BpiHeads
+from blockprune.errors import NumericError
 from blockprune.masking import RunningMean
+from blockprune.vit import MaskSet, MaskedVit, VitConfig
 from test_vit import TINY, rand_images, tiny_model
 
 
@@ -101,6 +105,77 @@ class TestHeads:
     def test_unknown_patch_head(self):
         with pytest.raises(ValueError):
             BpiHeads(TINY, patch_head="mlp-mixer")
+
+
+def resnet_step_setup(config=TINY, n=3, seed=7):
+    """A float32 model, ResNet-probe heads, labels and a trace taken under no_grad."""
+    model = MaskedVit(config, seed=0)
+    heads = BpiHeads(config, patch_head="resnet", seed=seed)
+    labels = np.arange(n) % config.num_classes
+    with ag.no_grad():
+        _, trace = model.forward(rand_images(n, config, dtype=np.float32), MaskSet(config))
+    return heads, trace, labels
+
+
+class TestStepBackward:
+    """``step`` backpropagates each block's head term as soon as it exists."""
+
+    def test_tape_is_as_long_after_step(self):
+        model, masks = tiny_model(dtype=np.float32)
+        heads = BpiHeads(TINY, patch_head="resnet", seed=7)
+        labels = np.array([0, 1, 2])
+        _, trace = model.forward(rand_images(3, dtype=np.float32), masks)
+        before = len(ag.tape)
+        assert before > 0  # the backbone's nodes
+        _, _, loss = heads.step(trace, labels)
+        assert len(ag.tape) == before
+        assert not loss.requires_grad
+
+    def test_gradients_equal_one_joint_backward(self):
+        heads, trace, labels = resnet_step_setup()
+        _, _, loss = heads.step(trace, labels)
+        stepped = [p.grad for p in heads.parameters()]
+        for p in heads.parameters():
+            p.grad = None
+        joint = None
+        for rec in trace:
+            term = ag.add(
+                ag.softmax_cross_entropy(heads._class_logits(rec.index, rec.after), labels),
+                ag.softmax_cross_entropy(heads._patch_logits(rec.index, rec.after), labels))
+            joint = term if joint is None else ag.add(joint, term)
+        ag.backward(joint)
+        assert loss.data.tobytes() == joint.data.tobytes()
+        for got, p in zip(stepped, heads.parameters()):
+            assert got is not None
+            assert got.tobytes() == p.grad.tobytes()
+
+    def test_no_grad_step_makes_no_gradient(self):
+        heads, trace, labels = resnet_step_setup()
+        with ag.no_grad():
+            heads.step(trace, labels)
+        assert all(p.grad is None for p in heads.parameters())
+
+    def test_non_finite_term_raises(self):
+        heads, trace, labels = resnet_step_setup()
+        heads.class_heads[1]["b"].data[0] = np.nan
+        with pytest.raises(NumericError):
+            heads.step(trace, labels)
+
+    def test_peak_memory_does_not_grow_with_the_probe_graphs(self):
+        # one probe graph alive at a time: keeping every block's graph until
+        # the step ends made the peak 4x from depth 1 to depth 4
+        def peak(depth):
+            cfg = VitConfig(image_size=16, patch_size=4, embed_dim=16, heads=2, depth=depth,
+                            mlp_ratio=2.0, num_classes=3, channels=1)
+            heads, trace, labels = resnet_step_setup(cfg, n=8)
+            tracemalloc.start()
+            try:
+                heads.step(trace, labels)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4) < 1.5 * peak(1)
 
 
 def benefit_mean(num_blocks):

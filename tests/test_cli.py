@@ -73,7 +73,7 @@ CORRUPTIONS = ["missing kind", "missing structure", "unknown config key", "zero 
                "attention item without e_idx", "index list empty", "index at its width",
                "negative index", "duplicate index", "unsorted index list",
                "index list not a list", "index list one short", "non-finite entry",
-               "float image size", "bool heads", "string mlp ratio"]
+               "float image size", "bool heads", "string mlp ratio", "extra entry"]
 
 
 def header_of(path):
@@ -153,6 +153,9 @@ def corrupted(case, header, blob):
         header["structure"][3]["hid_idx"] = "0-15"
     elif case == "index list one short":
         header["structure"][1]["hid_idx"].pop()
+    elif case == "extra entry":  # read as depth 1, block.2 and block.3 are left over
+        header["config"]["depth"] = 1
+        del header["structure"][2:]
     elif case == "non-finite entry":
         values = np.frombuffer(blob, dtype="<f4").copy()
         values[-1] = np.nan
@@ -347,6 +350,22 @@ class TestCheckpoints:
         p.write_bytes(b"hello world")
         with pytest.raises(DataFormatError):
             load_masked(p)
+
+    def test_entry_the_model_does_not_read(self, tmp_path):
+        # a depth-2 masked file whose header says depth 1 once loaded as a
+        # 1-layer model, silently dropping layer.1.* and mask.2.*/mask.3.*
+        cfg = VitConfig(image_size=8, patch_size=4, embed_dim=8, heads=2, depth=2,
+                        mlp_ratio=2.0, num_classes=3)
+        path = tmp_path / "m.ckpt"
+        save_masked(path, MaskedVit(cfg, seed=0), MaskSet(cfg))
+        first, rest = path.read_bytes().split(b"\n", 1)
+        nbytes = int(first.split()[-1])
+        header = json.loads(rest[:nbytes])
+        header["config"]["depth"] = 1
+        payload = json.dumps(header).encode()
+        path.write_bytes(f"{MAGIC} {len(payload)}\n".encode() + payload + rest[nbytes:])
+        with pytest.raises(DataFormatError, match="'layer.1.ln1_g' is not in the model"):
+            load_masked(path)
 
     def test_truncated_blob(self, tmp_path):
         cfg = VitConfig(image_size=8, patch_size=4, embed_dim=8, heads=2, depth=1,
