@@ -197,6 +197,8 @@ def backward(loss):
     """
     if loss.data.size != 1:
         raise ValueError("backward expects a scalar loss")
+    if not loss.requires_grad:
+        raise ValueError("backward expects a loss with a graph (requires_grad)")
     if not np.isfinite(loss.data):
         raise NumericError("non-finite loss")
     loss.grad = np.ones_like(loss.data)

@@ -23,12 +23,13 @@ from .optim import AdamW, train_epoch
 from .vit import VitConfig, _trunc_normal
 
 PATCH_HEAD_KINDS = ("resnet", "pooled-linear")
+PROBE_LR = 5e-4
 
 
 class BpiHeads:
     """Independent class/patch classifier pair per block, with own optimizer."""
 
-    def __init__(self, config: VitConfig, patch_head="resnet", lr=5e-4, seed=0, dtype=np.float32):
+    def __init__(self, config: VitConfig, patch_head="resnet", seed=0, dtype=np.float32):
         if patch_head not in PATCH_HEAD_KINDS:
             raise ValueError(f"unknown patch head '{patch_head}'")
         self.config = config
@@ -59,7 +60,7 @@ class BpiHeads:
                     "ln2_g": param(np.ones(e)), "ln2_b": param(np.zeros(e)),
                 })
             self.patch_heads.append(ph)
-        self.optimizer = AdamW(self.parameters(), lr=lr)
+        self.optimizer = AdamW(self.parameters(), lr=PROBE_LR)
 
     def parameters(self):
         ps = []
@@ -136,7 +137,7 @@ class BpiHeads:
 
 
 def probe_checkpoint(model, masks, train_ds, val_ds, epochs,
-                     patch_head="resnet", lr=5e-4, batch_size=64, seed=0):
+                     patch_head="resnet", batch_size=64, seed=0):
     """Benefit curves of a frozen backbone.
 
     Trains fresh heads for the given epochs on the train split (backbone in
@@ -144,7 +145,7 @@ def probe_checkpoint(model, masks, train_ds, val_ds, epochs,
     over the evaluation split. Returns (bp_class, bp_patch) arrays of length
     num_blocks with raw, unnormalized values.
     """
-    heads = BpiHeads(model.config, patch_head=patch_head, lr=lr, seed=seed)
+    heads = BpiHeads(model.config, patch_head=patch_head, seed=seed)
 
     def step(x, labels):
         with ag.no_grad():

@@ -66,7 +66,7 @@ def merge_importance(class_imp, patch_imp, alpha):
             + (1 - alpha) * _normalize_sum(class_imp, "class"))
 
 
-def block_importance(bp_class, bp_patch, param_counts, alpha=0.5, eps=EPS_PARAMS):
+def block_importance(bp_class, bp_patch, param_counts, alpha=0.5):
     """Merge class and patch benefit into one normalized importance per block."""
     bp_class = np.asarray(bp_class, dtype=np.float64)
     bp_patch = np.asarray(bp_patch, dtype=np.float64)
@@ -75,8 +75,8 @@ def block_importance(bp_class, bp_patch, param_counts, alpha=0.5, eps=EPS_PARAMS
         raise ValueError("need at least one block")
     if np.any(counts <= 0):
         raise ValueError("parameter counts must be positive")
-    class_imp = smooth_importance(_max_normalize(bp_class)) / (counts + eps)
-    patch_imp = smooth_importance(_max_normalize(bp_patch)) / (counts + eps)
+    class_imp = smooth_importance(_max_normalize(bp_class)) / (counts + EPS_PARAMS)
+    patch_imp = smooth_importance(_max_normalize(bp_patch)) / (counts + EPS_PARAMS)
     return BlockImportance(class_imp, patch_imp,
                            merge_importance(class_imp, patch_imp, alpha))
 

@@ -142,8 +142,7 @@ def cmd_prune(cfg, baseline=None):
     train_ds, val_ds = load_datasets(cfg)
     model = MaskedVit(cfg.model.vit_config(), seed=cfg.seed)
     masks = MaskSet(model.config)
-    heads = BpiHeads(model.config, patch_head=cfg.model.patch_head,
-                     lr=cfg.optimizer.lr_bpi, seed=cfg.seed + 1)
+    heads = BpiHeads(model.config, patch_head=cfg.model.patch_head, seed=cfg.seed + 1)
     metrics = MetricsWriter(out_dir)
     run = PruningRun(model, masks, heads, PruneSchedule.from_config(cfg),
                      train_ds, val_ds, cfg, metrics)
@@ -176,8 +175,8 @@ def cmd_probe(cfg, checkpoints):
         frozen_before = [p.data.copy() for p in model.parameters()]
         bp_class, bp_patch = probe_checkpoint(
             model, masks, train_ds, val_ds, epochs=cfg.schedule.probe_epochs,
-            patch_head=cfg.model.patch_head, lr=cfg.optimizer.lr_bpi,
-            batch_size=cfg.schedule.batch_size, seed=cfg.seed)
+            patch_head=cfg.model.patch_head, batch_size=cfg.schedule.batch_size,
+            seed=cfg.seed)
         for p, before in zip(model.parameters(), frozen_before):
             if not np.array_equal(p.data, before):
                 raise AssertionError("probe must leave the backbone untouched")

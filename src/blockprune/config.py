@@ -52,27 +52,15 @@ class DataSection:
 class PruningSection:
     keep_ratio: float = 0.5
     alpha: float = 0.5
-    mask_ref: float = 0.9
     sharpness: float = 0.1
     sharpness_floor: float = 0.005
     keep_floor: float = 0.05
     guard_frac: float = 0.05
-    eps: float = 1e-8
-    scale_in: float = 1.0
-    scale_out: float = 1.0
-    scale_e: float = 1.0
-    scale_hid: float = 1.0
-    remaining_param_importance: bool = True
-
-    def mask_scales(self):
-        return {"in": self.scale_in, "out": self.scale_out,
-                "e": self.scale_e, "hid": self.scale_hid}
 
 
 @dataclass
 class OptimizerSection:
     lr_model: float = 5e-4
-    lr_bpi: float = 5e-4
     weight_decay: float = 0.05
     lr_finetune: float | None = None
 
@@ -113,8 +101,6 @@ class RunConfig:
             raise ConfigError("pruning.keep_ratio must be in (0, 1]")
         if not 0 <= p.alpha <= 1:
             raise ConfigError("pruning.alpha must be in [0, 1]")
-        if not 0 < p.mask_ref < 1:
-            raise ConfigError("pruning.mask_ref must be in (0, 1)")
         if p.sharpness <= 0 or p.sharpness_floor <= 0:
             raise ConfigError("sharpness values must be positive")
         if not 0 <= p.guard_frac <= 1:

@@ -8,10 +8,10 @@ on its position in that order:
 
     value(rank) = sigmoid( slope * (rank - (N - k)) / (sharpness * N) )
 
-with slope = logit(ref_value). The least important kept element therefore
-sits exactly at 0.5, the element `sharpness * N` ranks above it at
-ref_value, and no element is ever exactly zero, so pruned channels keep
-competing and can be reactivated by a later update.
+with slope = logit(REF_MASK_VALUE). The least important kept element
+therefore sits exactly at 0.5, the element `sharpness * N` ranks above it at
+REF_MASK_VALUE (0.9), and no element is ever exactly zero, so pruned
+channels keep competing and can be reactivated by a later update.
 
 The per-mask guard keeps at least ``guards[kind]`` elements of every partial
 mask. A mask's top ``guards[kind]`` elements in the order are *protected*;
@@ -156,14 +156,14 @@ def _guarded_order(ranked, k, guards):
     return ranked.order[positions]
 
 
-def values_from_order(order, k, sharpness, ref_value=REF_MASK_VALUE):
+def values_from_order(order, k, sharpness):
     """Soft mask values for elements in the given ascending order."""
     if not sharpness > 0:
         raise ValueError("sharpness must be positive")
     n = order.size
     ranks = np.empty(n, dtype=np.float64)
     ranks[order] = np.arange(n)
-    slope = math.log(ref_value / (1.0 - ref_value))
+    slope = math.log(REF_MASK_VALUE / (1.0 - REF_MASK_VALUE))
     t = slope * (ranks - (n - k)) / (sharpness * n)
     vals = np.where(t >= 0, 1.0 / (1.0 + np.exp(-t)), np.exp(t) / (1.0 + np.exp(t)))
     return np.maximum(vals, MIN_MASK_VALUE)
@@ -179,8 +179,7 @@ def split_by_kind(ranked, flat):
     return out
 
 
-def mask_update(ranked, keep_ratio, sharpness, ref_value=REF_MASK_VALUE,
-                guard_frac=GUARD_FRACTION):
+def mask_update(ranked, keep_ratio, sharpness):
     """New soft mask values for one block at the given keep ratio.
 
     Keeps k = round-half-up(keep_ratio * N) elements at or above 0.5,
@@ -193,13 +192,13 @@ def mask_update(ranked, keep_ratio, sharpness, ref_value=REF_MASK_VALUE,
         raise ValueError("keep ratio must be in (0, 1]")
     n = ranked.total
     k = min(n, int(math.floor(keep_ratio * n + 0.5)))
-    guards = guard_minimums(ranked.sizes, guard_frac)
+    guards = guard_minimums(ranked.sizes)
     if k < sum(guards.values()):
         raise ValueError(
             f"keep ratio {keep_ratio} keeps {k} of {n} elements, below the "
             f"guard floor {sum(guards.values())}")
     order = _guarded_order(ranked, k, guards)
-    return split_by_kind(ranked, values_from_order(order, k, sharpness, ref_value))
+    return split_by_kind(ranked, values_from_order(order, k, sharpness))
 
 
 # ---------------------------------------------------------------------------

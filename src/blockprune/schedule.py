@@ -159,7 +159,6 @@ class PruningRun:
         sizes = [c.mask_sizes(i) for i in range(c.num_blocks)]
         self.taylor = TaylorAccumulator(sizes)
         self.bp_acc = RunningMean([{"class": c.num_blocks, "patch": c.num_blocks}])
-        self.scales = run_config.pruning.mask_scales()
 
         lr = FROZEN_LR if run_config.frozen else run_config.optimizer.lr_model
         self.model_opt = AdamW(model.parameters(), lr=lr,
@@ -205,18 +204,15 @@ class PruningRun:
         bp_class, bp_patch = bp["class"], bp["patch"]
         scores = self.taylor.read_and_reset()
         totals, remaining = self.model.param_totals(self.masks)
-        denom = remaining if p.remaining_param_importance else totals
-        imp = block_importance(bp_class, bp_patch, denom, alpha=p.alpha, eps=p.eps)
+        imp = block_importance(bp_class, bp_patch, remaining, alpha=p.alpha)
         solution = allocate(imp.merged, totals, keep_target, p.keep_floor)
-        ranked = [normalize_and_concat(scores[i],
-                                       {k: self.scales[k] for k in self.geoms[i].sizes},
-                                       tuple(self.geoms[i].sizes))
-                  for i in range(len(self.geoms))]
+        ranked = [normalize_and_concat(scores[i], dict.fromkeys(g.sizes, 1.0), tuple(g.sizes))
+                  for i, g in enumerate(self.geoms)]
         ks = plan_block_budgets(ranked, self.geoms, solution.keep_ratios, p.guard_frac)
         for i, (r, k) in enumerate(zip(ranked, ks)):
             guards = guard_minimums(r.sizes, p.guard_frac)
             order = _guarded_order(r, k, guards)
-            vals = values_from_order(order, k, self.sharpness, p.mask_ref)
+            vals = values_from_order(order, k, self.sharpness)
             self.masks.set_block(i, split_by_kind(r, vals))
         totals, remaining = self.model.param_totals(self.masks)
         for i in range(len(self.geoms)):

@@ -42,13 +42,15 @@ def check_gradients(fn, tensors, rtol=1e-6, h=1e-5, sample=None, rng=None):
     """Compare reverse-mode gradients of scalar fn() against central differences.
 
     With `sample`, only that many randomly chosen coordinates per tensor are
-    probed (needed for model-sized parameter tensors).
+    probed (needed for model-sized parameter tensors). A loss without a graph
+    is taken as already backpropagated inside fn(), as ``BpiHeads.step`` does.
     """
     ag.tape.clear()
     for t in tensors:
         t.grad = None
     loss = fn()
-    ag.backward(loss)
+    if loss.requires_grad:
+        ag.backward(loss)
     for i, t in enumerate(tensors):
         assert t.grad is not None, f"tensor {i} received no gradient"
         if sample is None:

@@ -7,9 +7,11 @@ import yaml
 
 from blockprune import checkpoint, cli, vit
 from blockprune.autograd import Tensor, no_grad
+from blockprune.bpi import BpiHeads
 from blockprune.checkpoint import MAGIC, load_compact, load_masked, save_compact, save_masked
 from blockprune.config import config_from_dict, load_config
 from blockprune.errors import ConfigError, DataFormatError, NumericError
+from blockprune.masking import REF_MASK_VALUE
 from blockprune.vit import CompactVit, MaskSet, MaskedVit, VitConfig
 
 from conftest import write_idx_pair
@@ -48,12 +50,11 @@ BAD_CONFIGS = [
     {"pruning": {"guard_frac": -0.1}},
     {"pruning": {"sharpness": math.nan}},
     {"pruning": {"sharpness_floor": math.inf}},
-    {"pruning": {"scale_in": math.nan}},
-    {"pruning": {"scale_in": "nan"}},
+    {"pruning": {"keep_floor": math.nan}},
+    {"pruning": {"keep_floor": "nan"}},
     # the remaining checks of validate() and _typed, and a section that is not a mapping
     {"pruning": {"alpha": 1.5}},
     {"pruning": {"alpha": "abc"}},
-    {"pruning": {"mask_ref": 1.0}},
     {"pruning": {"sharpness": 0.0}},
     {"pruning": {"keep_ratio": 0.3, "keep_floor": 0.4}},
     {"schedule": {"batch_size": 0}},
@@ -61,6 +62,14 @@ BAD_CONFIGS = [
     {"model": {"patch_head": "vit"}},
     {"pruning": 5},
 ]
+
+# keys that no run set to anything but their default, each with the constant
+# value it became
+REMOVED_KEYS = [("pruning", "mask_ref", 0.9), ("pruning", "eps", 1e-8),
+                ("pruning", "scale_in", 1.0), ("pruning", "scale_out", 1.0),
+                ("pruning", "scale_e", 1.0), ("pruning", "scale_hid", 1.0),
+                ("pruning", "remaining_param_importance", True),
+                ("optimizer", "lr_bpi", 5e-4)]
 
 # ways to break a compact checkpoint's header; each ended in a traceback or
 # loaded without an error
@@ -169,10 +178,10 @@ class TestConfig:
     def test_defaults_mirror_published_settings(self):
         cfg = config_from_dict({})
         assert cfg.pruning.alpha == 0.5
-        assert cfg.pruning.mask_ref == 0.9
+        assert REF_MASK_VALUE == 0.9
         assert cfg.pruning.sharpness == 0.1
         assert cfg.optimizer.lr_model == 5e-4
-        assert cfg.optimizer.lr_bpi == 5e-4
+        assert BpiHeads(cfg.model.vit_config()).optimizer.lr == 5e-4
         assert (cfg.schedule.epochs_warmup, cfg.schedule.epochs_sparsify,
                 cfg.schedule.epochs_sharpen) == (3, 22, 25)
 
@@ -575,6 +584,15 @@ class TestCommands:
             path = micro_config_file(tmp_path, out=str(tmp_path / f"bad{i}"), **raw)
             for command in ("train", "prune"):
                 assert cli.main([command, "--config", path]) == ConfigError.exit_code, raw
+
+    @pytest.mark.parametrize("section,key,value", REMOVED_KEYS)
+    def test_removed_key_exits_2(self, tmp_path, capsys, section, key, value):
+        path = micro_config_file(tmp_path, **{section: {key: value}})
+        capsys.readouterr()
+        assert cli.main(["eval", "--config", path, str(tmp_path / "none.ckpt")]) == \
+            ConfigError.exit_code
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and key in err[0]
 
     def test_out_under_a_file_exits_5(self, tmp_path, capsys):
         (tmp_path / "file").write_text("")

@@ -207,7 +207,9 @@ class TestAutogradProperties:
         x.grad = None
         y2 = ag.mul(x, x)
         loss = ag.tsum(ag.add(y2.detach(), ag.scale(y2.detach(), 2.0)))
-        ag.backward(loss)
+        assert not loss.requires_grad
+        with pytest.raises(ValueError):
+            ag.backward(loss)
         assert x.grad is None
 
     @settings(max_examples=60, deadline=None)

@@ -5,12 +5,14 @@
 Each argument is a directory that holds the ``blockprune`` package, such as
 the ``src/`` of a checkout. For each of four seeded configurations, a micro
 run with flips and a checkpoint every epoch, a ResNet-probe variant of it, a
-variant whose zero input-mask scale makes the per-mask guard reorder the
-masks and a variant with its own sharpness ramp, no mask updates while
-sharpening and updates every 3 steps, the script runs ``train``, ``prune``, ``probe`` (on the final and the
-epoch-1 dense checkpoint), ``report`` (on the probe directory) and ``eval``
-(on the compact and the masked pruned checkpoint) once per tree. Every command runs
-in its own subprocess with that tree alone on ``PYTHONPATH``.
+variant whose large per-mask guard fraction makes the guard change the kept
+set and a variant with its own sharpness ramp and floor, benefit blend,
+learning rate, weight decay and data settings, no mask updates while
+sharpening and updates every 3 steps, the script runs ``train``, ``prune``,
+``probe`` (on the final and the epoch-1 dense checkpoint), ``report`` (on the
+probe directory) and ``eval`` (on the compact and the masked pruned
+checkpoint) once per tree. Every command runs in its own subprocess with
+that tree alone on ``PYTHONPATH``.
 
 It then compares the two trees' outputs: every ``.csv`` and ``.ckpt`` file
 and every command's stdout byte for byte, and every ``.json`` file with the
@@ -47,23 +49,35 @@ MICRO = {
     "seed": 0,
 }
 
+# its own seed, patch size, channel count, data noise, budget floor and
+# fine-tune learning rate, none at its default, so a run that ignores any of
+# them writes other bytes
 RESNET = json.loads(json.dumps(MICRO))
-RESNET["model"]["patch_head"] = "resnet"
+RESNET["model"].update(patch_head="resnet", patch_size=2, channels=3)
 RESNET["schedule"].update(mask_update_freq=1, epochs_sparsify=2, epochs_finetune=2)
+RESNET["data"]["noise"] = 0.5
+RESNET["pruning"]["keep_floor"] = 0.4
+RESNET["optimizer"] = {"lr_finetune": 2e-3}
+RESNET["seed"] = 1
 
-# scale 0 ranks every input-mask element below the rest of its block, so
-# the input mask falls short of its guard minimum and the guard moves
-# elements across the keep boundary
+# a guard of 0.3 of every partial mask at keep 0.5 leaves little room above
+# the guard floor, so some masks fall short of their guard minimum and the
+# guard moves elements across the keep boundary
 GUARD = json.loads(json.dumps(MICRO))
-GUARD["pruning"]["scale_in"] = 0.0
+GUARD["pruning"].update(keep_ratio=0.5, guard_frac=0.3)
 
 # the sharpness ramp's ends and the sharpen-phase switch come from the config,
 # not from defaults of their own; an update every 3 of the 2 steps per epoch
-# writes tau between updates
+# writes tau between updates, and the floor of 0.1 binds before the last
+# sharpen update. The benefit blend, both learning-rate terms and the data
+# settings differ from their defaults, so a run that ignores any of them
+# writes other bytes
 SCHEDULE = json.loads(json.dumps(MICRO))
-SCHEDULE["pruning"].update(sharpness=0.2, sharpness_floor=0.02)
+SCHEDULE["pruning"].update(sharpness=0.2, sharpness_floor=0.1, alpha=1.0)
 SCHEDULE["schedule"].update(update_masks_during_sharpen=False, epochs_sparsify=2,
                             epochs_sharpen=2, mask_update_freq=3)
+SCHEDULE["data"].update(template_grid=3, normalize=True)
+SCHEDULE["optimizer"] = {"lr_model": 1e-3, "weight_decay": 0.01}
 
 CONFIGS = {"micro": MICRO, "resnet": RESNET, "guard": GUARD, "schedule": SCHEDULE}
 
