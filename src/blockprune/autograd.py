@@ -99,8 +99,8 @@ def no_grad():
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_grad_owned")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        arr = np.asarray(data, dtype=dtype if dtype is not None else None)
+    def __init__(self, data, requires_grad=False):
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
@@ -128,9 +128,6 @@ class Tensor:
     def detach(self):
         """Value-equal tensor through which no gradient flows."""
         return Tensor(self.data, requires_grad=False)
-
-    def item(self):
-        return float(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, requires_grad={self.requires_grad})"
@@ -250,13 +247,7 @@ def mul(a, b):
         if a.requires_grad:
             _accum(a, _unbroadcast(g * b.data, a.shape))
         if b.requires_grad:
-            if b.ndim == 1 and a.shape == g.shape and b.shape[0] == g.shape[-1]:
-                # channel-mask case: fused product-reduce over leading axes
-                gb = np.einsum("ij,ij->j", g.reshape(-1, b.shape[0]),
-                               a.data.reshape(-1, b.shape[0]))
-            else:
-                gb = _unbroadcast(g * a.data, b.shape)
-            _accum(b, gb)
+            _accum(b, _unbroadcast(g * a.data, b.shape))
 
     return _out(data, (a, b), bwd)
 
@@ -399,7 +390,7 @@ def _sigmoid_np(z):
 LAYERNORM_EPS = 1e-5
 
 
-def layernorm(x, gain, bias, eps=LAYERNORM_EPS):
+def layernorm(x, gain, bias):
     """Normalize over the last (channel) axis, then affine.
 
     Zero-variance input maps to zero before the affine thanks to the
@@ -411,7 +402,7 @@ def layernorm(x, gain, bias, eps=LAYERNORM_EPS):
     mu = xa.mean(axis=-1, keepdims=True)
     xhat = xa - mu
     var = np.mean(xhat * xhat, axis=-1, keepdims=True)
-    var += eps
+    var += LAYERNORM_EPS
     inv = np.sqrt(var, out=var)
     np.divide(1.0, inv, out=inv)
     xhat *= inv

@@ -129,12 +129,6 @@ class BpiHeads:
             loss = term if loss is None else ag.add(loss, term)
         return bp_class, bp_patch, loss
 
-    def measure(self, trace, labels):
-        """Benefit scores only, no training graph."""
-        with ag.no_grad():
-            bp_class, bp_patch, _ = self.step(trace, labels)
-        return bp_class, bp_patch
-
 
 def probe_checkpoint(model, masks, train_ds, val_ds, epochs,
                      patch_head="resnet", batch_size=64, seed=0):
@@ -160,7 +154,7 @@ def probe_checkpoint(model, masks, train_ds, val_ds, epochs,
     for images, labels in batch_iter(val_ds, batch_size, seed, 0):
         with ag.no_grad():
             _, trace = model.forward(Tensor(images), masks)
-        bp_class, bp_patch = heads.measure(trace, labels)
+            bp_class, bp_patch, _ = heads.step(trace, labels)
         sum_class += bp_class * len(labels)
         sum_patch += bp_patch * len(labels)
         total += len(labels)

@@ -161,28 +161,28 @@ def save_compact(path, model: CompactVit):
     _write(path, "compact", model.config, list(_entries(model)), structure)
 
 
-def load(path, dtype=np.float32):
+def load(path):
     """(model, masks) of a masked checkpoint, or (model, None) of a compact one."""
-    return _load(path, *_read(path), dtype)
+    return _load(path, *_read(path))
 
 
-def load_masked(path, dtype=np.float32):
-    return _load(path, *_read(path, ("masked",)), dtype)
+def load_masked(path):
+    return _load(path, *_read(path, ("masked",)))
 
 
-def load_compact(path, dtype=np.float32):
-    return _load(path, *_read(path, ("compact",)), dtype)[0]
+def load_compact(path):
+    return _load(path, *_read(path, ("compact",)))[0]
 
 
-def _load(path, header, config, values, dtype):
+def _load(path, header, config, values):
     """The one loader: a compact model built from the file's ``structure``,
     or a masked model and a fresh ``MaskSet``; then every tensor set from its
     entry. Consumes ``values``; an entry the model does not read is an error."""
     if header["kind"] == "compact":
         blocks = _structure(path, header["structure"], config)
-        model, masks = CompactVit(config, blocks, dtype), None
+        model, masks = CompactVit(config, blocks), None
     else:
-        model, masks = MaskedVit(config, seed=None, dtype=dtype), MaskSet(config, dtype=dtype)
+        model, masks = MaskedVit(config, seed=None), MaskSet(config)
     for name, t in _entries(model, masks):
         value = values.pop(name, None)
         if value is None:
@@ -192,7 +192,7 @@ def _load(path, header, config, values, dtype):
                                   f"{value.shape}, expected {t.shape}")
         if not np.all(np.isfinite(value)):
             raise DataFormatError(f"{path}: entry '{name}' holds a non-finite value")
-        t.data = value.astype(dtype)
+        t.data = value.astype(np.float32)
     if values:  # what is left, in file order, is no entry of this model
         raise DataFormatError(f"{path}: entry '{next(iter(values))}' is not in the model")
     return model, masks

@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .bpi import BpiHeads, probe_checkpoint
 from .checkpoint import load, load_masked, save_compact, save_masked
-from .config import load_config
+from .config import FLAGS, load_config
 from .data import SyntheticSpec, generate_synthetic, load_idx, normalize_images
 from .errors import BlockPruneError, ConfigError, DataFormatError
 from .schedule import (MetricsWriter, PruneSchedule, PruningRun, evaluate,
@@ -38,8 +38,8 @@ def load_datasets(cfg):
                              template_grid=d.template_grid, seed=cfg.seed)
         train, val, _ = generate_synthetic(spec)
     else:
-        train = load_idx(d.images, d.labels, m.image_size, m.num_classes, "train")
-        val = load_idx(d.val_images, d.val_labels, m.image_size, m.num_classes, "val")
+        train = load_idx(d.images, d.labels, m.image_size, m.num_classes)
+        val = load_idx(d.val_images, d.val_labels, m.image_size, m.num_classes)
     if d.normalize:
         train.images = normalize_images(train.images)
         val.images = normalize_images(val.images)
@@ -196,28 +196,23 @@ def cmd_probe(cfg, checkpoints):
     return 0
 
 
+_NORMS = {"max": lambda v: np.max(np.abs(v)), "mean": lambda v: np.abs(np.mean(v))}
+
+
 def _normalized_tables(rows):
     """Max- and mean-normalized benefit tables per checkpoint."""
-    tables = {"max": [], "mean": []}
+    tables = {flavor: [] for flavor in _NORMS}
     by_ckpt = {}
     for row in rows:
         by_ckpt.setdefault(row["checkpoint"], []).append(row)
     for ckpt, group in by_ckpt.items():
-        for col in ("bp_class", "bp_patch"):
-            vals = np.array([float(r[col]) for r in group])
-            denom_max = np.max(np.abs(vals)) or 1.0
-            denom_mean = np.abs(np.mean(vals)) or 1.0
-            for r, vmax, vmean in zip(group, vals / denom_max, vals / denom_mean):
-                r.setdefault("_norm", {})[(col, "max")] = vmax
-                r["_norm"][(col, "mean")] = vmean
-        for r in group:
-            for flavor in ("max", "mean"):
-                tables[flavor].append({
-                    "checkpoint": ckpt, "block_index": r["block_index"],
-                    "block_type": r["block_type"],
-                    "bp_class": f"{r['_norm'][('bp_class', flavor)]:.6f}",
-                    "bp_patch": f"{r['_norm'][('bp_patch', flavor)]:.6f}",
-                })
+        vals = {col: np.array([float(r[col]) for r in group]) for col in ("bp_class", "bp_patch")}
+        for flavor, norm in _NORMS.items():
+            scaled = {col: v / (norm(v) or 1.0) for col, v in vals.items()}
+            tables[flavor] += [{"checkpoint": ckpt, "block_index": r["block_index"],
+                                "block_type": r["block_type"],
+                                **{col: f"{v[j]:.6f}" for col, v in scaled.items()}}
+                               for j, r in enumerate(group)]
     return tables
 
 
@@ -316,9 +311,7 @@ def main(argv=None):
     try:
         if args.command == "report":
             return cmd_report(args.run_dir)
-        overrides = {"seed": args.seed, "out": args.out,
-                     "keep_ratio": args.keep_ratio, "frozen": args.frozen}
-        cfg = load_config(args.config, overrides)
+        cfg = load_config(args.config, {key: getattr(args, key) for key in FLAGS})
         if args.command == "train":
             return cmd_train(cfg)
         if args.command == "prune":

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import yaml
 
@@ -65,15 +65,6 @@ class OptimizerSection:
     lr_finetune: float | None = None
 
 
-_SECTIONS = {
-    "model": ModelSection,
-    "schedule": ScheduleSection,
-    "data": DataSection,
-    "pruning": PruningSection,
-    "optimizer": OptimizerSection,
-}
-
-
 @dataclass
 class RunConfig:
     model: ModelSection = field(default_factory=ModelSection)
@@ -87,10 +78,6 @@ class RunConfig:
 
     def validate(self):
         p, s, m, d = self.pruning, self.schedule, self.model, self.data
-        if m.depth < 1:
-            raise ConfigError("model.depth must be >= 1")
-        if m.num_classes < 2:
-            raise ConfigError("model.num_classes must be >= 2")
         if d.train_per_class < 1 or d.val_per_class < 1:
             raise ConfigError("data.train_per_class and data.val_per_class must be >= 1")
         if d.template_grid < 1:
@@ -133,6 +120,9 @@ class RunConfig:
         return asdict(self)
 
 
+# the command-line flags, each with the section of the field it sets ("" for the root)
+FLAGS = {"seed": "", "out": "", "frozen": "", "keep_ratio": "pruning"}
+
 _SCALARS = {"int": int, "float": float, "bool": bool, "str": str}
 
 
@@ -164,41 +154,42 @@ def _typed(value, annotation, path):
     return value
 
 
-def _build_section(cls, raw, path):
+def _build(cls, raw, path):
+    """``cls`` from the mapping ``raw`` found at ``path`` ("" for the root).
+
+    A field with a default factory is a section, built the same way; any
+    other value present in ``raw`` is checked by ``_typed``.
+    """
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
-        raise ConfigError(f"section '{path}' must be a mapping")
-    allowed = set(cls.__dataclass_fields__)
-    unknown = set(raw) - allowed
+        raise ConfigError(f"section '{path}' must be a mapping" if path
+                          else "config root must be a mapping")
+    unknown = set(raw) - set(cls.__dataclass_fields__)
     if unknown:
-        raise ConfigError(f"unknown keys in '{path}': {sorted(unknown)}")
+        raise ConfigError(f"unknown keys in '{path}': {sorted(unknown)}" if path
+                          else f"unknown top-level keys: {sorted(unknown)}")
+    values = {}
+    for f in fields(cls):
+        key = f"{path}.{f.name}" if path else f.name
+        if f.default_factory is not MISSING:
+            values[f.name] = _build(f.default_factory, raw.get(f.name), key)
+        elif f.name in raw:
+            values[f.name] = _typed(raw[f.name], f.type, key)
     try:
-        return cls(**{f.name: _typed(raw[f.name], f.type, f"{path}.{f.name}")
-                      for f in fields(cls) if f.name in raw})
+        return cls(**values)
     except ValueError as exc:  # model geometry that VitConfig rejects
         raise ConfigError(str(exc)) from exc
 
 
 def config_from_dict(raw):
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
-    allowed = set(_SECTIONS) | {"seed", "out", "frozen"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
-    sections = {name: _build_section(cls, raw.get(name), name)
-                for name, cls in _SECTIONS.items()}
-    top = {f.name: _typed(raw[f.name], f.type, f.name)
-           for f in fields(RunConfig) if f.name in raw and f.name not in _SECTIONS}
-    cfg = RunConfig(**top, **sections)
-    return cfg.validate()
+    return _build(RunConfig, raw, "").validate()
 
 
 def load_config(path=None, overrides=None):
-    """Config from a YAML file plus command-line overrides."""
+    """Config from a YAML file plus command-line overrides, one per ``FLAGS``
+    key; an override is type-checked as a file value is, and the config is
+    validated once, after the overrides."""
     raw = {}
     if path is not None:
         try:
@@ -209,18 +200,14 @@ def load_config(path=None, overrides=None):
         except yaml.YAMLError as exc:  # its message spans lines; keep one
             raise ConfigError(f"cannot parse config file {path}: "
                               f"{' '.join(str(exc).split())}") from exc
-    cfg = config_from_dict(raw)
+    cfg = _build(RunConfig, raw, "")
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        if key == "seed":
-            cfg.seed = int(value)
-        elif key == "out":
-            cfg.out = str(value)
-        elif key == "frozen":
-            cfg.frozen = bool(value)
-        elif key == "keep_ratio":
-            cfg.pruning.keep_ratio = float(value)
-        else:
+        if key not in FLAGS:
             raise ConfigError(f"unknown override '{key}'")
+        section = FLAGS[key]
+        target = getattr(cfg, section) if section else cfg
+        setattr(target, key, _typed(value, target.__dataclass_fields__[key].type,
+                                    f"{section}.{key}" if section else key))
     return cfg.validate()

@@ -18,7 +18,6 @@ class Dataset:
     images: np.ndarray   # n x h x w x c in [0, 1]
     labels: np.ndarray   # int class indices
     num_classes: int
-    split: str = "train"
 
     def __post_init__(self):
         if self.images.shape[0] != self.labels.shape[0]:
@@ -71,7 +70,7 @@ def generate_synthetic(spec: SyntheticSpec):
         noise = rng.normal(0.0, spec.noise, size=(n,) + templates.shape[1:]) if spec.noise > 0 \
             else np.zeros((n,) + templates.shape[1:])
         images = np.clip(templates[labels] + noise, 0.0, 1.0).astype(np.float32)
-        splits[split] = Dataset(images, labels.astype(np.int64), spec.num_classes, split)
+        splits[split] = Dataset(images, labels.astype(np.int64), spec.num_classes)
     return splits["train"], splits["val"], templates
 
 
@@ -104,7 +103,7 @@ def _resize_nearest(images, size):
     return images[:, ri][:, :, ci]
 
 
-def load_idx(images_path, labels_path, image_size=32, num_classes=None, split="train"):
+def load_idx(images_path, labels_path, image_size=32, num_classes=None):
     """Load an IDX image/label pair, scale to [0,1], resize to image_size."""
     raw_images = _read_idx(images_path, IDX_MAGIC_IMAGES)
     raw_labels = _read_idx(labels_path, IDX_MAGIC_LABELS)
@@ -117,15 +116,17 @@ def load_idx(images_path, labels_path, image_size=32, num_classes=None, split="t
     images = _resize_nearest(images, image_size)
     labels = raw_labels.astype(np.int64)
     k = num_classes if num_classes is not None else int(labels.max()) + 1
-    return Dataset(images, labels, k, split)
+    return Dataset(images, labels, k)
 
 
 def normalize_images(images):
-    """Per-image zero-mean/unit-std normalization."""
+    """Per-image zero-mean/unit-std normalization. An image whose std is at
+    most 1e-6 maps to zeros: the float32 mean of a constant image can miss
+    its value by a rounding step, which the division would blow up."""
     flat = images.reshape(images.shape[0], -1)
     mu = flat.mean(axis=1)[:, None, None, None]
     sd = flat.std(axis=1)[:, None, None, None]
-    return (images - mu) / np.maximum(sd, 1e-6)
+    return (images - mu) / np.maximum(sd, 1e-6) * (sd > 1e-6)
 
 
 def batch_iter(ds: Dataset, batch_size, seed, epoch, flip=False):

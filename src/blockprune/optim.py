@@ -9,11 +9,11 @@ from .errors import NumericError
 
 
 class AdamW:
-    def __init__(self, params, lr=5e-4, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr=5e-4, weight_decay=0.0):
         self.params = list(params)
         self.lr = float(lr)
-        self.beta1, self.beta2 = betas
-        self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]

@@ -80,11 +80,11 @@ class PruneSchedule:
         return FINETUNE
 
 
-def evaluate(model, dataset, batch_size=256, masks=None):
-    """Classification accuracy and mean loss over a dataset."""
+def evaluate(model, dataset, masks=None):
+    """Classification accuracy and mean loss over a dataset, in batches of 256."""
     correct, total, loss_sum = 0, 0, 0.0
     with ag.no_grad():
-        for images, labels in batch_iter(dataset, batch_size, seed=0, epoch=0):
+        for images, labels in batch_iter(dataset, 256, seed=0, epoch=0):
             x = Tensor(images)
             if masks is not None:
                 logits, _ = model.forward(x, masks, collect_trace=False)

@@ -57,9 +57,11 @@ class VitConfig:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if type(self.mlp_ratio) not in (int, float) or not math.isfinite(self.mlp_ratio):
             raise ValueError(f"mlp_ratio must be a finite number, got {self.mlp_ratio!r}")
-        for name in ("image_size", "patch_size", "embed_dim", "heads", "channels"):
+        for name in ("image_size", "patch_size", "embed_dim", "heads", "depth", "channels"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.num_classes < 2:
+            raise ValueError("num_classes must be >= 2")
         if self.hidden_dim < 1:
             raise ValueError("mlp_ratio * embed_dim must be >= 1")
         if self.image_size % self.patch_size:
@@ -111,9 +113,6 @@ class MaskSet:
                 block[kind] = Tensor(np.ones(size, dtype=dtype), requires_grad=True)
             self.blocks.append(block)
 
-    def __len__(self):
-        return len(self.blocks)
-
     def tensors(self):
         for block in self.blocks:
             yield from block.values()
@@ -157,7 +156,6 @@ class MaskSet:
 @dataclass
 class BlockRecord:
     index: int
-    block_type: str
     before: Tensor  # detached feature map entering the block
     after: Tensor   # detached feature map after the residual add
 
@@ -195,8 +193,9 @@ class BlockGeometry:
         return self.params_of_counts(self.sizes)
 
 
-def _trunc_normal(rng, shape, std=0.02):
+def _trunc_normal(rng, shape):
     # resample out-of-band draws; two-sigma truncation as in common ViT inits
+    std = 0.02
     vals = rng.normal(0.0, std, size=shape)
     bad = np.abs(vals) > 2 * std
     while bad.any():
@@ -379,8 +378,7 @@ class MaskedVit(_Trunk):
             x = ag.add(x, self._block(x, self.config.block_type(i), self.gated_weights(i, masks),
                                       lambda h: h))
             if collect_trace:
-                trace.append(BlockRecord(i, self.config.block_type(i),
-                                         before.detach(), x.detach()))
+                trace.append(BlockRecord(i, before.detach(), x.detach()))
         return self.readout(x), trace
 
     def param_totals(self, masks: MaskSet):

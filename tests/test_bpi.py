@@ -57,7 +57,7 @@ class TestHeads:
         # evaluating the same features on both sides must give benefit 0 for
         # every block: the head pair shares parameters across the two calls
         for rec in trace:
-            rec_equal = type(rec)(rec.index, rec.block_type, rec.before, rec.before)
+            rec_equal = type(rec)(rec.index, rec.before, rec.before)
             bp_c, bp_p, _ = heads.step(
                 [rec_equal if r.index == rec.index else r for r in trace],
                 np.array([0, 1]))

@@ -118,6 +118,13 @@ class TestAllocate:
         assert np.array_equal(sol.keep_ratios, [1.0, 0.05])
         assert abs(sol.achieved - 0.525) < 1e-12
 
+    def test_floor_at_target_gives_every_block_the_target(self):
+        # the floor alone fills the budget, so the scale is 0 and every block
+        # sits at the floor, whatever its importance
+        sol = allocate([0.7, 0.2, 0.1, 0.0], [10, 20, 30, 40], keep_target=0.3, keep_floor=0.3)
+        assert np.array_equal(sol.keep_ratios, np.full(4, 0.3))
+        assert sol.achieved == pytest.approx(0.3, abs=1e-12)
+
     def test_all_zero_importance_falls_back_to_uniform(self):
         sol = allocate([0.0, 0.0, 0.0], [10, 20, 30], keep_target=0.4, keep_floor=0.05)
         assert np.allclose(sol.keep_ratios, 0.4, atol=1e-12)

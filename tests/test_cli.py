@@ -9,7 +9,8 @@ from blockprune import checkpoint, cli, vit
 from blockprune.autograd import Tensor, no_grad
 from blockprune.bpi import BpiHeads
 from blockprune.checkpoint import MAGIC, load_compact, load_masked, save_compact, save_masked
-from blockprune.config import config_from_dict, load_config
+from blockprune.config import FLAGS, config_from_dict, load_config
+from blockprune.data import normalize_images
 from blockprune.errors import ConfigError, DataFormatError, NumericError
 from blockprune.masking import REF_MASK_VALUE
 from blockprune.vit import CompactVit, MaskSet, MaskedVit, VitConfig
@@ -82,7 +83,8 @@ CORRUPTIONS = ["missing kind", "missing structure", "unknown config key", "zero 
                "attention item without e_idx", "index list empty", "index at its width",
                "negative index", "duplicate index", "unsorted index list",
                "index list not a list", "index list one short", "non-finite entry",
-               "float image size", "bool heads", "string mlp ratio", "extra entry"]
+               "float image size", "bool heads", "string mlp ratio", "extra entry",
+               "zero depth", "one class"]
 
 
 def header_of(path):
@@ -165,6 +167,19 @@ def corrupted(case, header, blob):
     elif case == "extra entry":  # read as depth 1, block.2 and block.3 are left over
         header["config"]["depth"] = 1
         del header["structure"][2:]
+    elif case in ("zero depth", "one class"):  # a consistent file of a model VitConfig rejects
+        values = {e["name"]: np.frombuffer(blob, dtype="<f4")[e["offset"]:][:math.prod(e["shape"])]
+                  .reshape(e["shape"]) for e in header["entries"]}
+        if case == "zero depth":
+            header["config"]["depth"], header["structure"] = 0, []
+            values = {k: v for k, v in values.items() if not k.startswith("block.")}
+        else:
+            header["config"]["num_classes"] = 1
+            values["head_w"], values["head_b"] = values["head_w"][:, :1], values["head_b"][:1]
+        offsets = np.cumsum([0] + [v.size for v in values.values()]).tolist()
+        header["entries"] = [{"name": k, "shape": list(v.shape), "offset": o}
+                             for (k, v), o in zip(values.items(), offsets)]
+        blob = b"".join(np.ascontiguousarray(v).tobytes() for v in values.values())
     elif case == "non-finite entry":
         values = np.frombuffer(blob, dtype="<f4").copy()
         values[-1] = np.nan
@@ -203,6 +218,42 @@ class TestConfig:
         for raw in BAD_CONFIGS:
             with pytest.raises(ConfigError):
                 config_from_dict(raw)
+
+    @pytest.mark.parametrize("flags", [{"seed": "3"}, {"seed": 2.0}, {"out": 5},
+                                       {"frozen": 1}, {"keep_ratio": True},
+                                       {"keep_ratio": "x"}, {"keep_ratio": 1.5}])
+    def test_flags_are_checked_as_file_values(self, tmp_path, flags):
+        with pytest.raises(ConfigError, match=next(iter(flags))):
+            load_config(micro_config_file(tmp_path), flags)
+
+    def test_validated_after_the_flags(self, tmp_path):
+        # a keep floor above the file's keep ratio but below the flag's
+        path = micro_config_file(tmp_path, pruning={"keep_ratio": 0.3, "keep_floor": 0.4})
+        with pytest.raises(ConfigError):
+            load_config(path)
+        assert load_config(path, {"keep_ratio": 0.5}).pruning.keep_ratio == 0.5
+
+    def test_every_flag_reaches_the_config(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_train", lambda cfg: seen.append(cfg) or 0)
+        assert cli.main(["train", "--config", micro_config_file(tmp_path), "--seed", "7",
+                         "--out", "elsewhere", "--keep-ratio", "0.4", "--frozen"]) == 0
+        cfg, = seen
+        assert set(FLAGS) == {"seed", "out", "frozen", "keep_ratio"}
+        assert (cfg.seed, cfg.out, cfg.frozen, cfg.pruning.keep_ratio) == (7, "elsewhere",
+                                                                           True, 0.4)
+
+    def test_normalize_applies_to_both_splits(self):
+        raw = json.loads(json.dumps(MICRO))
+        plain = cli.load_datasets(config_from_dict(raw))
+        raw["data"]["normalize"] = True
+        normed = cli.load_datasets(config_from_dict(raw))
+        for ds, ref in zip(normed, plain):
+            assert np.array_equal(ds.labels, ref.labels)
+            assert np.array_equal(ds.images, normalize_images(ref.images))
+            flat = ds.images.reshape(len(ds), -1)
+            assert np.allclose(flat.mean(axis=1), 0.0, atol=1e-5)
+            assert np.allclose(flat.std(axis=1), 1.0, atol=1e-4)
 
     def test_idx_requires_paths(self):
         with pytest.raises(ConfigError):

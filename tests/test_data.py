@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from blockprune.data import (Dataset, SyntheticSpec, batch_iter,
-                             generate_synthetic, load_idx)
+                             generate_synthetic, load_idx, normalize_images)
 from blockprune.errors import DataFormatError
 
 from conftest import write_idx_pair
@@ -40,6 +40,23 @@ class TestSynthetic:
         spec = SyntheticSpec(train_per_class=3, val_per_class=3, seed=0)
         train, val, _ = generate_synthetic(spec)
         assert not np.array_equal(train.images[:len(val)], val.images)
+
+
+class TestNormalize:
+    # shapes and values at which the float32 mean of a constant image misses
+    # the value by a rounding step
+    @pytest.mark.parametrize("shape", [(8, 8, 1), (8, 8, 3), (28, 28, 1), (32, 32, 3)])
+    def test_zero_mean_unit_std_and_constant_images_to_zero(self, shape):
+        rng = np.random.default_rng(0)
+        images = rng.uniform(0.0, 1.0, (4,) + shape).astype(np.float32)
+        images[1] = 0.7
+        images[3] = 0.0
+        out = normalize_images(images)
+        assert out.dtype == np.float32 and out.shape == images.shape
+        flat = out.reshape(4, -1)
+        assert np.allclose(flat[[0, 2]].mean(axis=1), 0.0, atol=1e-6)
+        assert np.allclose(flat[[0, 2]].std(axis=1), 1.0, atol=1e-5)
+        assert not np.any(out[[1, 3]])
 
 
 class TestIdxLoader:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from blockprune import schedule
 from blockprune.bpi import BpiHeads
+from blockprune.budget import allocate
 from blockprune.config import config_from_dict
 from blockprune.data import SyntheticSpec, generate_synthetic
 from blockprune.errors import BudgetInfeasibleError, NumericError
@@ -215,6 +217,16 @@ class TestPruningRun:
             sched = PruneSchedule(1, 1, 1, 0, 0, target)
             with pytest.raises(BudgetInfeasibleError):
                 PruningRun(model, masks, heads, sched, train, val, cfg)
+
+    def test_uniform_arm_validates_and_runs(self, monkeypatch):
+        # keep_floor == keep_ratio: the allocator gives every block the target
+        cfg, model, masks, heads, sched, train, val = micro_setup(
+            keep=0.5, keep_floor=0.5, sparsify=1, sharpen=1, finetune=0)
+        solutions = []
+        monkeypatch.setattr(schedule, "allocate",
+                            lambda *args: solutions.append(allocate(*args)) or solutions[-1])
+        PruningRun(model, masks, heads, sched, train, val, cfg).run()
+        assert np.array_equal(solutions[-1].keep_ratios, np.full(model.config.num_blocks, 0.5))
 
     def test_keep_everything_endpoint(self):
         cfg, model, masks, heads, sched, train, val = micro_setup(keep=1.0)

@@ -44,6 +44,7 @@ class TestConfig:
         # non-positive geometry is rejected before any division by it
         for bad in ({"heads": 0}, {"patch_size": 0}, {"image_size": 0}, {"embed_dim": 0},
                     {"channels": 0}, {"mlp_ratio": 0.0}, {"heads": -4}, {"embed_dim": -64},
+                    {"depth": 0}, {"num_classes": 1},
                     # wrong types, as a checkpoint header can hold them
                     {"image_size": 32.0}, {"heads": True}, {"depth": "2"},
                     {"mlp_ratio": "2"}, {"mlp_ratio": math.inf}, {"mlp_ratio": False}):
