@@ -72,9 +72,6 @@ class Tape:
         self.nodes = []
         self.enabled = True
 
-    def record(self, tensor):
-        self.nodes.append(tensor)
-
     def clear(self):
         self.nodes.clear()
 
@@ -143,7 +140,7 @@ def _out(data, parents, backward):
     t._backward = backward if rg else None
     t._grad_owned = False
     if rg:
-        tape.record(t)
+        tape.nodes.append(t)
     return t
 
 
@@ -376,12 +373,7 @@ def softplus(x):
 
 
 def _sigmoid_np(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    return np.exp(-np.logaddexp(0.0, -z))  # exp(-softplus(-z)): no overflow
 
 
 # ---------------------------------------------------------------------------
@@ -391,40 +383,39 @@ LAYERNORM_EPS = 1e-5
 
 
 def layernorm(x, gain, bias):
-    """Normalize over the last (channel) axis, then affine.
-
-    Zero-variance input maps to zero before the affine thanks to the
-    eps-stabilized denominator.
-    """
-    if x.shape[-1] == 0:
+    """Normalize over the last (channel) axis, then affine; every row mean is a
+    product with a column of 1/c. Zero-variance input keeps only its mean's
+    rounding error, times 1/sqrt(eps) ~ 316: in float32, a constant row of
+    |x| <= 5 at width 64 maps to |out| < 1e-3 before the affine."""
+    c = x.shape[-1]
+    if c == 0:
         raise ValueError("layernorm over an empty channel dimension")
-    xa = x.data
-    mu = xa.mean(axis=-1, keepdims=True)
-    xhat = xa - mu
-    var = np.mean(xhat * xhat, axis=-1, keepdims=True)
-    var += LAYERNORM_EPS
-    inv = np.sqrt(var, out=var)
+    col = np.full((c, 1), 1.0 / c, dtype=x.dtype)
+    xa = x.data.reshape(-1, c)
+    xhat = xa - xa @ col
+    sq = xhat * xhat
+    inv = sq @ col
+    inv += LAYERNORM_EPS
+    np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     xhat *= inv
-    data = xhat * gain.data
+    data = np.multiply(xhat, gain.data, out=sq)
     data += bias.data
 
     def bwd(g):
         # d/dx of xhat·gain with mean/var functions of x
+        g = g.reshape(xhat.shape)
         gi = g * gain.data
-        term_mu = gi.mean(axis=-1, keepdims=True)
-        term_var = (gi * xhat).mean(axis=-1, keepdims=True)
-        dx = xhat * term_var
-        dx += term_mu
+        dx = gi * xhat
+        np.multiply(xhat, dx @ col, out=dx)
+        dx += gi @ col
         np.subtract(gi, dx, out=dx)
         dx *= inv
-        _accum(x, dx)
-        red = tuple(range(g.ndim - 1))
-        gi = np.multiply(g, xhat, out=gi)
-        _accum(gain, gi.sum(axis=red))
-        _accum(bias, g.sum(axis=red))
+        _accum(x, dx.reshape(x.shape))
+        _accum(gain, np.multiply(g, xhat, out=gi).sum(axis=0))
+        _accum(bias, g.sum(axis=0))
 
-    return _out(data, (x, gain, bias), bwd)
+    return _out(data.reshape(x.shape), (x, gain, bias), bwd)
 
 
 def softmax(x):
@@ -445,37 +436,46 @@ def softmax(x):
 def attention(h, n, t, heads, scale):
     """Multi-head self-attention as one node, from the (n * t, 3 * heads *
     width) q/k/v projection ``h`` to the merged heads (n * t, heads * width),
-    with the scores multiplied by ``scale``. The ops and operand layouts are
-    those of the unfused transpose/slice/matmul/scale/softmax chain, so the
-    bytes are too; q, k and v are strided views of ``h``, kᵀ is one copy.
-    """
+    with the scores multiplied by ``scale``. The probabilities are key-major,
+    one (t, n * heads * t) buffer, so the softmax's max and sum reduce over
+    long contiguous rows. ``scale`` rides on a transposed copy of q (of g in
+    the backward); k and v are strided views of ``h``."""
     if h.ndim != 2 or h.shape[0] != n * t or h.shape[1] % (3 * heads):
         raise ValueError(f"attention expects (n * t, 3 * heads * width): {h.shape}")
     width = h.shape[1] // (3 * heads)
-    # at one channel per head the products are matrix-vector ones, whose
-    # rounding depends on the vector's stride: keep the chain's layout there
-    layout = np.ascontiguousarray if width == 1 else np.asarray
-    q, k, v = map(layout, h.data.reshape(n, t, 3, heads, width).transpose(2, 0, 3, 1, 4))
-    kt = np.ascontiguousarray(k.swapaxes(-1, -2))
-    s = q @ kt
-    s *= np.asarray(scale, dtype=h.dtype)
-    s -= s.max(axis=-1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
+    q, k, v = h.data.reshape(n, t, 3, heads, width).transpose(2, 0, 3, 1, 4)
+    scale = np.asarray(scale, dtype=h.dtype)
+
+    def scaled_t(a):  # scale·aᵀ, contiguous: BLAS is slow on a transposed operand
+        return np.multiply(a.swapaxes(-1, -2), scale, out=np.empty((n, heads, width, t), h.dtype))
+
+    qst = scaled_t(q)  # before p, so the heap frees both as one hole at return
+    p = np.empty((t, n * heads * t), dtype=h.dtype)
+    pk = p.reshape(t, n, heads, t).transpose(1, 2, 0, 3)  # (n, heads, key, query)
+    np.matmul(k, qst, out=pk)
+    p -= p.max(axis=0)
+    np.exp(p, out=p)
+    total = p.sum(axis=0)
+    p *= np.divide(1.0, total, out=total)
     data = np.empty((n, t, heads, width), dtype=h.dtype)
-    np.matmul(s, v, out=data.transpose(0, 2, 1, 3))
+    np.matmul(pk.swapaxes(-1, -2), v, out=data.transpose(0, 2, 1, 3))
 
     def bwd(g):
-        g = layout(g.reshape(n, t, heads, width).transpose(0, 2, 1, 3))
-        ds = g @ v.swapaxes(-1, -2)
-        ds *= s
-        ds -= s * ds.sum(axis=-1, keepdims=True)
-        ds *= np.asarray(scale, dtype=h.dtype)
+        g = g.reshape(n, t, heads, width)
+        # per query, the softmax's sum of p·dp is g·out (FlashAttention's D);
+        # it and gᵀ carry the scale, so ds is the gradient of the unscaled q·k
+        dot = (g * data).reshape(-1, width) @ np.full(width, scale, dtype=h.dtype)
+        g = g.transpose(0, 2, 1, 3)
+        ds = np.empty_like(p)
+        dsk = ds.reshape(t, n, heads, t).transpose(1, 2, 0, 3)
+        np.matmul(v, scaled_t(g), out=dsk)
+        ds -= dot.reshape(n, t, heads).transpose(0, 2, 1).reshape(-1)
+        ds *= p
         dh = np.empty((n, t, 3, heads, width), dtype=h.dtype)
         dq, dk, dv = dh.transpose(2, 0, 3, 1, 4)
-        np.matmul(s.swapaxes(-1, -2), g, out=dv)
-        np.matmul(ds, kt.swapaxes(-1, -2), out=dq)
-        dk[...] = (q.swapaxes(-1, -2) @ ds).swapaxes(-1, -2)
+        np.matmul(pk, g, out=dv)
+        np.matmul(dsk, q, out=dk)
+        np.matmul(dsk.swapaxes(-1, -2), k, out=dq)
         _accum(h, dh.reshape(h.shape))
 
     return _out(data.reshape(n * t, heads * width), (h,), bwd)

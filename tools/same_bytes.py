@@ -1,6 +1,7 @@
-"""Check that two source trees give the same bytes for the same seeds.
+"""Check that two source trees give the same bytes, or the same decisions,
+for the same seeds.
 
-    python3 tools/same_bytes.py PARENT_SRC CHANGE_SRC
+    python3 tools/same_bytes.py [--tolerance FILE] [--seeds N] PARENT_SRC CHANGE_SRC
 
 Each argument is a directory that holds the ``blockprune`` package, such as
 the ``src/`` of a checkout. For each of four seeded configurations, a micro
@@ -22,13 +23,33 @@ differing checkpoint it prints the largest relative difference of a tensor
 (its largest absolute difference over the largest absolute value in
 either tree) and whether the kept sets are equal: the mask elements at 0.5 or
 above of a masked checkpoint, the ``{kind}_idx`` lists of a compact one.
+
+``--seeds N`` runs every configuration at its own seed and the N - 1 seeds
+after it; the runs past the first go to ``{config}-seed{i}``.
+
+``--tolerance FILE`` (JSON, such as ``tools/same_decisions.json``) accepts a
+file that differs when it makes the same decisions and its floats agree
+within FILE's bounds. Decisions are compared exactly: every CSV, JSON or
+stdout value that is not a float literal (phases, epochs, steps, block
+indices and types, ``params_remaining``, file names), every checkpoint
+header (for a compact one, its ``structure``) and the kept sets of every
+masked checkpoint. Floats are compared by group, each group's largest
+absolute difference over its largest absolute value in either tree: a CSV
+column, a JSON key, the float literals of one stdout file, a checkpoint
+tensor. A checkpoint tensor's bound is FILE's ``tensor``; a float group's is
+FILE's ``columns`` entry for its name, or else ``float``. The first decision
+that differs and every float group out of its bound are printed, and the
+script exits 1.
 """
 
 from __future__ import annotations
 
+import argparse
+import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -111,12 +132,14 @@ def _check_import(src):
         sys.exit(f"{src}: imports blockprune from {path}")
 
 
-def run_tree(src, work):
-    """All commands of every configuration, with ``src`` on PYTHONPATH."""
+def run_tree(src, work, seeds=1):
+    """All commands of every configuration at ``seeds`` seeds, with ``src``
+    on PYTHONPATH."""
     _check_import(src)
-    for name, raw in CONFIGS.items():
-        run_dir = work / name
+    for (name, raw), i in ((c, i) for c in CONFIGS.items() for i in range(seeds)):
+        run_dir = work / (f"{name}-seed{i}" if i else name)
         run_dir.mkdir(parents=True)
+        raw = dict(raw, seed=raw["seed"] + i)
         (run_dir / "config.yaml").write_text(yaml.safe_dump(raw, sort_keys=True))
         for label, args in COMMANDS:
             done = subprocess.run([sys.executable, "-m", "blockprune.cli", *args], cwd=run_dir,
@@ -158,8 +181,11 @@ def _kept_sets(header, tensors):
 
 
 def _relative_difference(a, b):
-    scale = max(np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0))
-    return np.max(np.abs(a - b), initial=0.0) / scale if scale else 0.0
+    """Largest absolute difference over the largest absolute value in either
+    array, or over float32's smallest normal number if that is larger."""
+    scale = max(np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0),
+                float(np.finfo(np.float32).tiny))
+    return np.max(np.abs(a - b), initial=0.0) / scale
 
 
 def checkpoint_difference(a, b):
@@ -172,37 +198,146 @@ def checkpoint_difference(a, b):
     return f"largest relative tensor difference {rel:.3g}; {kept}"
 
 
-def compare(left, right):
-    """Print one line per output file; returns the number that differ."""
+# a float literal as the CLI and the CSV writer print one; integers, names and
+# phases are decisions
+FLOAT = re.compile(
+    r"(?<![\w.])-?(?:\d+\.\d*(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+|inf|nan)(?![\w.])")
+
+
+def _parts(path):
+    """(decisions, floats) of one output file: ``decisions`` a list of
+    (where, value) compared exactly, ``floats`` {group: list of values}
+    compared within the group's bound."""
+    decisions, floats = [], {}
+    if path.suffix == ".ckpt":
+        header, tensors = _checkpoint(path)
+        decisions += [(f"structure block {i}", b)
+                      for i, b in enumerate(header.get("structure", ()))]
+        if header["kind"] != "compact":
+            decisions += [(f"{name} kept", kept)
+                          for name, kept in _kept_sets(header, tensors).items()]
+        decisions += [(f"header {k}", v) for k, v in header.items() if k != "structure"]
+        floats = {name: t.ravel() for name, t in tensors.items()}
+    elif path.suffix == ".csv":
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        head = rows[0] if rows else []
+        decisions.append(("header", head))
+        for r, row in enumerate(rows[1:], start=2):
+            at = f"line {r} ({head[0]} {row[0]})" if head and row else f"line {r}"
+            decisions.append((f"{at} columns", len(row)))
+            for col, cell in zip(head, row):
+                if FLOAT.fullmatch(cell):
+                    floats.setdefault(col, []).append(float(cell))
+                else:
+                    decisions.append((f"{at} {col}", cell))
+    elif path.suffix == ".json":
+        def walk(value, at):
+            if isinstance(value, dict):
+                for k, v in value.items():
+                    walk(v, f"{at}.{k}" if at else k)
+            elif isinstance(value, list):
+                decisions.append((f"{at} length", len(value)))
+                for i, v in enumerate(value):
+                    walk(v, f"{at}[{i}]")
+            elif isinstance(value, float):
+                floats.setdefault(re.sub(r"\[\d+\]", "", at), []).append(value)
+            else:
+                decisions.append((at, value))
+        walk(_without_volatile(json.loads(path.read_text())), "")
+    else:
+        for r, line in enumerate(path.read_text().splitlines(), start=1):
+            decisions.append((f"line {r}", FLOAT.sub("#", line)))
+            floats.setdefault(path.name, []).extend(map(float, FLOAT.findall(line)))
+    return decisions, floats
+
+
+def _first_difference(decisions_a, decisions_b):
+    """One line on the first decision that differs, or None."""
+    for (where, x), (_, y) in zip(decisions_a, decisions_b):
+        if x != y:
+            # down to the first differing element of equal-length lists and dicts
+            while (type(x) is type(y) and isinstance(x, (list, dict)) and len(x) == len(y)
+                   and (isinstance(x, list) or x.keys() == y.keys())):
+                key = next(k for k in (range(len(x)) if isinstance(x, list) else x)
+                           if x[k] != y[k])
+                where, x, y = f"{where}[{key!r}]", x[key], y[key]
+            return f"first decision that differs: {where}: {x!r:.80} != {y!r:.80}"
+    if len(decisions_a) != len(decisions_b):
+        return "first decision that differs: the number of values"
+    return None
+
+
+def same_decisions(a, b, tolerance):
+    """(passes, one line) for two output files: they pass when they make the
+    same decisions and every float group agrees within its bound. Equal
+    decisions give equal float groups: the same CSV cells, JSON keys, stdout
+    lines and checkpoint entries."""
+    (da, fa), (db, fb) = _parts(a), _parts(b)
+    if failure := _first_difference(da, db):
+        return False, failure
+    over, largest = [], 0.0
+    for group in fa:
+        rel = _relative_difference(np.array(fa[group], dtype=np.float64),
+                                   np.array(fb[group], dtype=np.float64))
+        bound = (tolerance["tensor"] if a.suffix == ".ckpt"
+                 else tolerance.get("columns", {}).get(group, tolerance["float"]))
+        largest = max(largest, rel)
+        if not rel <= bound:
+            over.append(f"{group} differs by {rel:.3g} > {bound:g}")
+    return not over, "; ".join(over) or f"largest relative difference {largest:.3g}"
+
+
+def compare(left, right, tolerance=None):
+    """Print one line per output file; returns the number that differ, or,
+    with a ``tolerance`` dict, the number that fail its check."""
     names = sorted({p.relative_to(left) for p in left.rglob("*") if p.is_file()}
                    | {p.relative_to(right) for p in right.rglob("*") if p.is_file()})
-    differ = 0
+    differ = failed = 0
     for rel in names:
         a, b = left / rel, right / rel
+        detail = None
         if not (a.exists() and b.exists()):
             verdict = "only in " + ("parent" if a.exists() else "change")
         elif rel.suffix not in (".csv", ".ckpt", ".json", ".txt", ".yaml"):
             verdict = "unknown file type"
+        elif same(a, b):
+            verdict = "identical"
+        elif tolerance is None:
+            verdict = "DIFFERS"
+            if rel.suffix == ".ckpt":
+                detail = checkpoint_difference(a, b)
         else:
-            verdict = "identical" if same(a, b) else "DIFFERS"
+            passes, detail = same_decisions(a, b, tolerance)
+            verdict = "within bounds" if passes else "FAILS"
         differ += verdict != "identical"
+        failed += verdict not in ("identical", "within bounds")
         print(f"{verdict:<17} {rel}")
-        if verdict == "DIFFERS" and rel.suffix == ".ckpt":
-            print(f"{'':<17} {checkpoint_difference(a, b)}")
-    print(f"{len(names)} files compared, {differ} differ")
-    return differ
+        if detail:
+            print(f"{'':<17} {detail}")
+    if tolerance is None:
+        print(f"{len(names)} files compared, {differ} differ")
+        return differ
+    print(f"{len(names)} files compared, {differ} differ, {failed} fail the check")
+    return failed
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 2:
-        sys.exit(__doc__)
-    parent, change = (Path(a).resolve() for a in argv)
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("parent", type=Path)
+    p.add_argument("change", type=Path)
+    p.add_argument("--tolerance", type=Path)
+    p.add_argument("--seeds", type=int, default=1)
+    args = p.parse_args(argv)
+    if args.seeds < 1:
+        p.error("--seeds must be at least 1")
+    tolerance = json.loads(args.tolerance.read_text()) if args.tolerance else None
+    parent, change = args.parent.resolve(), args.change.resolve()
     with tempfile.TemporaryDirectory(prefix="same-bytes-") as tmp:
         left, right = Path(tmp) / "parent", Path(tmp) / "change"
-        run_tree(parent, left)
-        run_tree(change, right)
-        return 1 if compare(left, right) else 0
+        run_tree(parent, left, args.seeds)
+        run_tree(change, right, args.seeds)
+        return 1 if compare(left, right, tolerance) else 0
 
 
 if __name__ == "__main__":
