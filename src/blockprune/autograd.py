@@ -8,6 +8,10 @@ A node leaves the tape as soon as it has fired, so the tape only holds nodes
 no backward has reached yet; ``optim.train_epoch`` clears what is left at
 the start of each training step.
 
+A tensor adopts its first gradient and takes each later one as a new sum:
+a gradient buffer may be shared (``add`` hands one array to both operands,
+``reshape`` a view), so no gradient is ever written in place.
+
 Broadcasting is restricted to numpy's trailing-dimension alignment so every
 backward rule reduces to summing the leading/size-1 axes back out.
 """
@@ -94,7 +98,7 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_grad_owned")
+    __slots__ = ("data", "grad", "requires_grad", "_backward")
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data)
@@ -104,7 +108,6 @@ class Tensor:
         self.grad = None
         self.requires_grad = requires_grad
         self._backward = None
-        self._grad_owned = False
 
     @property
     def shape(self):
@@ -138,29 +141,17 @@ def _out(data, parents, backward):
     t.grad = None
     t.requires_grad = rg
     t._backward = backward if rg else None
-    t._grad_owned = False
     if rg:
         tape.nodes.append(t)
     return t
 
 
 def _accum(t, g):
-    # the first gradient is adopted without copying; in-place accumulation
-    # only ever happens on a buffer this tensor owns
     if not t.requires_grad:
         return
-    if t.grad is None:
-        if g.dtype != t.data.dtype:
-            t.grad = g.astype(t.data.dtype)
-            t._grad_owned = True
-        else:
-            t.grad = g
-            t._grad_owned = False
-    elif t._grad_owned:
-        t.grad += g
-    else:
-        t.grad = t.grad + g
-        t._grad_owned = True
+    if g.dtype != t.data.dtype:
+        g = g.astype(t.data.dtype)
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def _unbroadcast(grad, shape):

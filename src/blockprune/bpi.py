@@ -12,8 +12,6 @@ exists, so a probe graph is freed before the next block's is built.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import autograd as ag
@@ -34,10 +32,7 @@ class BpiHeads:
             raise ValueError(f"unknown patch head '{patch_head}'")
         self.config = config
         self.patch_head = patch_head
-        grid = int(round(math.sqrt(config.num_patches)))
-        if grid * grid != config.num_patches:
-            raise ValueError("patch head requires a square token grid")
-        self.grid = grid
+        self.grid = config.image_size // config.patch_size
         rng = np.random.default_rng(seed)
         e, k = config.embed_dim, config.num_classes
 

@@ -91,9 +91,10 @@ def allocate(merged_importance, param_counts, keep_target, keep_floor=0.05):
     """Per-block keep ratios proportional to importance under a global budget.
 
     Solves sum(w_i * clamp(c * I_i, floor, 1)) == keep_target * sum(w_i) for
-    the scale c by repeatedly fixing clipped blocks at their bound and
-    re-solving over the free set; blocks whose bound stops binding are
-    released again, so the result is the exact single-scale solution.
+    the scale c. The left side is piecewise linear in c, bending where a block
+    leaves its floor (c = floor / I_i) or reaches 1 (c = 1 / I_i); the scan
+    walks these breakpoints upward to the first that meets the target and
+    interpolates c on the segment that ends there: the exact single-scale solution.
     """
     imp = np.asarray(merged_importance, dtype=np.float64)
     w = np.asarray(param_counts, dtype=np.float64)

@@ -21,7 +21,7 @@ from .config import FLAGS, load_config
 from .data import SyntheticSpec, generate_synthetic, load_idx, normalize_images
 from .errors import BlockPruneError, ConfigError, DataFormatError
 from .schedule import (MetricsWriter, PruneSchedule, PruningRun, evaluate,
-                       train_dense, write_csv, write_json)
+                       format_benefit, train_dense, write_csv, write_json)
 from .vit import MaskSet, MaskedVit
 
 PROBE_FIELDS = ["checkpoint", "block_index", "block_type", "bp_class", "bp_patch"]
@@ -187,8 +187,8 @@ def cmd_probe(cfg, checkpoints):
                 "checkpoint": Path(path).name,
                 "block_index": i + 1,
                 "block_type": model.config.block_type(i),
-                "bp_class": f"{bp_class[i]:.6f}",
-                "bp_patch": f"{bp_patch[i]:.6f}",
+                "bp_class": format_benefit(bp_class[i]),
+                "bp_patch": format_benefit(bp_patch[i]),
             })
     out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / "probe.csv", PROBE_FIELDS, rows)
@@ -211,7 +211,7 @@ def _normalized_tables(rows):
             scaled = {col: v / (norm(v) or 1.0) for col, v in vals.items()}
             tables[flavor] += [{"checkpoint": ckpt, "block_index": r["block_index"],
                                 "block_type": r["block_type"],
-                                **{col: f"{v[j]:.6f}" for col, v in scaled.items()}}
+                                **{col: format_benefit(v[j]) for col, v in scaled.items()}}
                                for j, r in enumerate(group)]
     return tables
 

@@ -7,6 +7,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import yaml
 
+from .bpi import PATCH_HEAD_KINDS
 from .errors import ConfigError
 from .vit import VitConfig
 
@@ -111,7 +112,7 @@ class RunConfig:
             if m.channels != 1:
                 raise ConfigError("model.channels must be 1 for IDX datasets, whose images "
                                   "have one channel")
-        if self.model.patch_head not in ("resnet", "pooled-linear"):
+        if self.model.patch_head not in PATCH_HEAD_KINDS:
             raise ConfigError(f"unknown patch head '{self.model.patch_head}'")
         return self
 

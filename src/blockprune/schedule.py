@@ -35,6 +35,9 @@ FROZEN_LR = 1e-8
 
 WARMUP, SPARSIFY, SHARPEN, FINETUNE = "warmup", "sparsify", "sharpen", "finetune"
 
+# every CSV writes benefit columns with 7 significant digits: a benefit can be far below 1e-3
+format_benefit = "{:.6e}".format
+
 
 def intermediate_target(progress, keep_target):
     """Linear ramp of the global keep ratio over the sparsify phase."""
@@ -115,7 +118,7 @@ class MetricsWriter:
                kappa_block, params_remaining):
         self.update_rows.append({
             "step": step, "block_index": block_index, "block_type": block_type,
-            "bp_class": f"{bp_class:.6f}", "bp_patch": f"{bp_patch:.6f}",
+            "bp_class": format_benefit(bp_class), "bp_patch": format_benefit(bp_patch),
             "kappa_block": f"{kappa_block:.6f}", "params_remaining": params_remaining,
         })
 
@@ -231,17 +234,16 @@ class PruningRun:
         if phase != WARMUP and self.global_step % self.update_freq == 0:
             s, p = self.schedule, self.cfg.pruning
             warm_steps = s.epochs_warmup * self.steps_per_epoch
-            sparsify_steps = max(1, s.epochs_sparsify * self.steps_per_epoch)
+            sparsify_steps = s.epochs_sparsify * self.steps_per_epoch
             if phase == SPARSIFY:
-                prog = min(1.0, (self.global_step - warm_steps) / sparsify_steps)
+                prog = (self.global_step - warm_steps) / sparsify_steps
                 self.current_keep = intermediate_target(prog, s.keep_target)
             else:
                 self.current_keep = s.keep_target
             if phase == SHARPEN:
                 q = ((self.global_step - warm_steps - sparsify_steps)
-                     / max(1, s.epochs_sharpen * self.steps_per_epoch))
-                self.sharpness = sharpness_ramp(min(max(q, 0.0), 1.0),
-                                                p.sharpness, p.sharpness_floor)
+                     / (s.epochs_sharpen * self.steps_per_epoch))
+                self.sharpness = sharpness_ramp(q, p.sharpness, p.sharpness_floor)
             if phase != SHARPEN or self.cfg.schedule.update_masks_during_sharpen:
                 self._update_masks(self.current_keep)
         if self.step_callback:
@@ -307,6 +309,8 @@ def train_dense(model, train_ds, val_ds, cfg, epochs, metrics=None,
                 checkpoint_fn=None):
     """Plain supervised training with identity masks (the unpruned baseline)."""
     masks = MaskSet(model.config, dtype=model.dtype)
+    for t in masks.tensors():  # constants: only a pruning run reads mask gradients
+        t.requires_grad = False
     opt = AdamW(model.parameters(), lr=cfg.optimizer.lr_model,
                 weight_decay=cfg.optimizer.weight_decay)
     acc = 0.0

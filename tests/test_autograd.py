@@ -379,6 +379,16 @@ class TestTapeMechanics:
         ag.backward(ag.tsum(y))
         assert np.allclose(x.grad, [8.0])
 
+    def test_shared_gradient_is_never_written_in_place(self):
+        # the outer add hands one array to both of its operands and the inner
+        # add hands it on to a and b; a then takes a second gradient
+        a, b = (Tensor(np.ones(3, dtype=np.float32), requires_grad=True) for _ in range(2))
+        c = Tensor(np.array([2.0, 3.0, 4.0], dtype=np.float32))
+        other = ag.mul(a, c)
+        ag.backward(ag.tsum(ag.add(ag.add(a, b), other)))
+        assert b.grad.tobytes() == np.ones(3, dtype=np.float32).tobytes()
+        assert np.array_equal(a.grad, [3.0, 4.0, 5.0])
+
     def test_backward_visits_each_node_once(self):
         x = tensor64([1.0, 2.0])
         mid = ag.mul(x, x)

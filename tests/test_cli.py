@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -13,6 +14,7 @@ from blockprune.config import FLAGS, config_from_dict, load_config
 from blockprune.data import normalize_images
 from blockprune.errors import ConfigError, DataFormatError, NumericError
 from blockprune.masking import REF_MASK_VALUE
+from blockprune.schedule import MetricsWriter
 from blockprune.vit import CompactVit, MaskSet, MaskedVit, VitConfig
 
 from conftest import write_idx_pair
@@ -552,6 +554,32 @@ class TestCommands:
         assert cli.main(["report", str(tmp_path / "t3")]) == 0
         assert (tmp_path / "t3" / "probe_norm_max.csv").exists()
         assert (tmp_path / "t3" / "probe_norm_mean.csv").exists()
+
+    def test_benefits_keep_six_digits(self, tmp_path, monkeypatch):
+        # benefits are 1e-5 to 1e-4: updates.csv, probe.csv and the normalized
+        # tables built from them keep six significant digits of each
+        bp_class = np.array([3.2145e-5, 1.0e-4, -2.5e-6, 7.77777e-5])
+        bp_patch = 3 * bp_class[::-1]
+        metrics = MetricsWriter(tmp_path / "run")
+        for i, (c, p) in enumerate(zip(bp_class, bp_patch)):
+            metrics.update(1, i + 1, "attn", c, p, 0.5, 10)
+        metrics.flush()
+        cfgp = micro_config_file(tmp_path, out=str(tmp_path / "probe"))
+        model = MaskedVit(load_config(cfgp).model.vit_config())
+        save_masked(tmp_path / "m.ckpt", model, MaskSet(model.config))
+        monkeypatch.setattr(cli, "probe_checkpoint", lambda *a, **k: (bp_class, bp_patch))
+        assert cli.main(["probe", "--config", cfgp, str(tmp_path / "m.ckpt")]) == 0
+        assert cli.main(["report", str(tmp_path / "probe")]) == 0
+
+        def column(path, col):
+            with open(path, newline="") as fh:
+                return np.array([float(row[col]) for row in csv.DictReader(fh)])
+
+        for col, v in (("bp_class", bp_class), ("bp_patch", bp_patch)):
+            assert column(tmp_path / "run" / "updates.csv", col) == pytest.approx(v, rel=1e-6)
+            assert column(tmp_path / "probe" / "probe.csv", col) == pytest.approx(v, rel=1e-6)
+            assert column(tmp_path / "probe" / "probe_norm_mean.csv", col) == \
+                pytest.approx(v / abs(v.mean()), rel=1e-6)
 
     def test_report_missing_run(self, tmp_path, capsys):
         code = cli.main(["report", str(tmp_path / "nothing")])

@@ -117,6 +117,21 @@ class TestPruningRun:
         assert taus[len(phases) - 1 - phases[::-1].index(SHARPEN)] == 0.02
         assert run.sharpness == pytest.approx(0.02)
 
+    @pytest.mark.parametrize("sparsify", [0, 1])
+    def test_sharpen_ramp_reaches_the_floor(self, sparsify):
+        # one sharpen epoch of 3 steps with an update at every step, after a
+        # sparsify phase or straight after warm-up
+        cfg, model, masks, heads, _, train, val = micro_setup(
+            sparsify=sparsify, sharpen=1, finetune=0, batch=8, sharpness=0.2,
+            sharpness_floor=0.005)
+        sched = PruneSchedule(1, sparsify, 1, 0, 1, 0.5)
+        taus = []
+        run = PruningRun(model, masks, heads, sched, train, val, cfg,
+                         step_callback=lambda r: taus.append(r.sharpness))
+        run.run()
+        assert run.steps_per_epoch == 3
+        assert taus[-3:] == pytest.approx([0.2 * 2 / 3, 0.2 / 3, 0.005])
+
     def test_masks_frozen_in_sharpen_when_updates_are_off(self):
         cfg, model, masks, heads, sched, train, val = micro_setup(sharpen=3)
         cfg.schedule.update_masks_during_sharpen = False
@@ -302,6 +317,21 @@ class TestDenseTraining:
         train_dense(model, train, val, cfg, epochs=0)
         for p, b in zip(model.parameters(), before):
             assert np.array_equal(p.data, b)
+
+    def test_masks_carry_no_gradient(self, monkeypatch):
+        # only a pruning run reads mask gradients, so a dense step computes none
+        cfg, model, _, _, _, train, val = micro_setup()
+        forward, grads = model.forward, []
+
+        def spy(x, masks, **kwargs):
+            grads.append([t.grad for t in masks.tensors()])
+            return forward(x, masks, **kwargs)
+
+        monkeypatch.setattr(model, "forward", spy)
+        masks, _ = train_dense(model, train, val, cfg, epochs=2)
+        grads.append([t.grad for t in masks.tensors()])
+        assert len(grads) > 3
+        assert all(g is None for step in grads for g in step)
 
     def test_loss_improves(self):
         cfg, model, masks, heads, sched, train, val = micro_setup(per_class=16)
