@@ -4,7 +4,7 @@ Measured per-block benefit is max-normalized, squashed through a softplus
 window that suppresses negative scores and saturates peaks, divided by the
 block's parameter count, and merged class/patch-wise. Keep ratios are then
 scaled proportionally to merged importance, with out-of-range blocks clipped
-to their bound and the remainder rescaled until the global target holds.
+to their bound and the remainder rescaled so that the global target holds.
 """
 
 from __future__ import annotations
@@ -91,59 +91,41 @@ def allocate(merged_importance, param_counts, keep_target, keep_floor=0.05):
     """Per-block keep ratios proportional to importance under a global budget.
 
     Solves sum(w_i * clamp(c * I_i, floor, 1)) == keep_target * sum(w_i) for
-    the scale c. The left side is piecewise linear in c, bending where a block
-    leaves its floor (c = floor / I_i) or reaches 1 (c = 1 / I_i); the scan
-    walks these breakpoints upward to the first that meets the target and
-    interpolates c on the segment that ends there: the exact single-scale solution.
+    the scale c. The left side is piecewise linear and nondecreasing in c,
+    bending where a block leaves its floor (c = floor / I_i) or reaches 1
+    (c = 1 / I_i). One table holds the budget at c = 0 and at every bend; a
+    binary search over it finds the first bend that meets the target, and c
+    is interpolated on the segment that ends there: the exact single-scale
+    solution.
     """
     imp = np.asarray(merged_importance, dtype=np.float64)
     w = np.asarray(param_counts, dtype=np.float64)
-    n = imp.size
     if not (0.0 <= keep_floor <= keep_target <= 1.0):
         raise BudgetInfeasibleError(
             f"keep target {keep_target} outside [{keep_floor}, 1]")
-    if np.any(imp < 0):
+    if not np.all(imp >= 0):
         raise ValueError("importance must be nonnegative")
     target = keep_target * w.sum()
     if np.all(imp == 0):
         logger.warning("all-zero merged importance; falling back to uniform")
-        imp = np.full(n, 1.0 / n)
-
-    def solve(c):
-        return np.clip(c * imp, keep_floor, 1.0)
-
-    # scale values at which some block's clip state changes, in ascending order
-    pos = imp > 0
-    events = np.concatenate([
-        (keep_floor / imp[pos]) if keep_floor > 0 else np.zeros(0),
-        1.0 / imp[pos],
-    ])
-    events = np.unique(events[np.isfinite(events)])
-
-    def total(c):
-        return float((w * solve(c)).sum())
-
-    c_star = None
-    prev_c, prev_f = 0.0, total(0.0)
-    if prev_f >= target:
-        c_star = 0.0
+        imp = np.full(imp.size, 1.0 / imp.size)
+    pos = imp[imp > 0]
+    cs = np.concatenate([[0.0], keep_floor / pos, 1.0 / pos])
+    cs = np.unique(cs[np.isfinite(cs)])
+    totals = (w * np.clip(cs[:, None] * imp, keep_floor, 1.0)).sum(axis=1)
+    j = int(np.searchsorted(totals, target))
+    if j == 0:
+        c = 0.0
+    elif j < cs.size:
+        # the budget is linear on (cs[j-1], cs[j]): clipped blocks are pinned
+        # at their bound, the free remainder rescales
+        slope = (totals[j] - totals[j - 1]) / (cs[j] - cs[j - 1])
+        c = cs[j - 1] + (target - totals[j - 1]) / slope
+    elif abs(totals[-1] - target) <= 1e-6 * max(1.0, target):
+        c = cs[-1]
     else:
-        for c_evt in events:
-            f_evt = total(c_evt)
-            if f_evt >= target:
-                # budget is linear in c on (prev_c, c_evt): clipped blocks are
-                # pinned at their bound, the free remainder rescales
-                slope = (f_evt - prev_f) / (c_evt - prev_c) if c_evt > prev_c else 0.0
-                c_star = c_evt if slope == 0.0 else prev_c + (target - prev_f) / slope
-                break
-            prev_c, prev_f = c_evt, f_evt
-        if c_star is None:
-            if abs(prev_f - target) <= 1e-6 * max(1.0, target):
-                c_star = prev_c
-            else:
-                raise BudgetInfeasibleError(
-                    f"cannot reach keep ratio {keep_target}: all blocks at bounds "
-                    f"give {prev_f / w.sum():.6f}")
-    kappa = solve(c_star)
-    achieved = float((w * kappa).sum() / w.sum())
-    return BudgetSolution(kappa, achieved)
+        raise BudgetInfeasibleError(
+            f"cannot reach keep ratio {keep_target}: all blocks at bounds "
+            f"give {totals[-1] / w.sum():.6f}")
+    kappa = np.clip(c * imp, keep_floor, 1.0)
+    return BudgetSolution(kappa, float((w * kappa).sum() / w.sum()))

@@ -89,8 +89,8 @@ class RunConfig:
             raise ConfigError("pruning.keep_ratio must be in (0, 1]")
         if not 0 <= p.alpha <= 1:
             raise ConfigError("pruning.alpha must be in [0, 1]")
-        if p.sharpness <= 0 or p.sharpness_floor <= 0:
-            raise ConfigError("sharpness values must be positive")
+        if not 0 < p.sharpness_floor <= p.sharpness:
+            raise ConfigError("pruning needs 0 < sharpness_floor <= sharpness")
         if not 0 <= p.guard_frac <= 1:
             raise ConfigError("pruning.guard_frac must be in [0, 1]")
         if not 0 <= p.keep_floor <= p.keep_ratio:
@@ -103,6 +103,11 @@ class RunConfig:
             raise ConfigError("schedule.batch_size must be >= 1")
         if s.mask_update_freq < 0:
             raise ConfigError("schedule.mask_update_freq must be >= 0")
+        o = self.optimizer
+        if not (o.lr_model > 0 and (o.lr_finetune is None or o.lr_finetune > 0)):
+            raise ConfigError("optimizer.lr_model and optimizer.lr_finetune must be > 0")
+        if o.weight_decay < 0:
+            raise ConfigError("optimizer.weight_decay must be >= 0")
         if self.data.source not in ("synthetic", "idx"):
             raise ConfigError(f"unknown data source '{self.data.source}'")
         if self.data.source == "idx":

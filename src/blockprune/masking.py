@@ -241,17 +241,15 @@ def plan_block_budgets(ranked_blocks, geoms, keep_ratios, guard_frac=GUARD_FRACT
     by_budget = sorted(range(len(geoms)), key=lambda i: -targets[i])
     for _ in range(sum(r.total for r in ranked_blocks)):
         err = sum(achieved) - global_target
-        stepped = False
+        step = -1 if err > 0 else 1
         for i in by_budget:
-            step = -1 if err > 0 else 1
             k_new = ks[i] + step
             if k_new < floors[i] or k_new > ranked_blocks[i].total:
                 continue
             p_new = params_at(i, k_new)
             if abs(err - achieved[i] + p_new) < abs(err):
                 ks[i], achieved[i] = k_new, p_new
-                stepped = True
                 break
-        if not stepped:
+        else:  # no block's step brings the sum closer
             break
     return ks

@@ -44,14 +44,6 @@ class AdamW:
             p.grad = None
 
 
-def finite_loss(logits, labels):
-    """Task cross-entropy; raises NumericError if it is not finite."""
-    loss = ag.softmax_cross_entropy(logits, labels)
-    if not np.isfinite(loss.data):
-        raise NumericError("non-finite loss")
-    return loss
-
-
 def train_epoch(batches, optimizers, step, where, after_step=None):
     """One pass over ``batches``; returns the sample-weighted mean task loss.
 

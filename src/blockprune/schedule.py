@@ -28,10 +28,8 @@ from .errors import BudgetInfeasibleError
 from .masking import (RunningMean, TaylorAccumulator, guard_minimums,
                       normalize_and_concat, plan_block_budgets, split_by_kind,
                       values_from_order, _guarded_order)
-from .optim import AdamW, finite_loss, train_epoch
+from .optim import AdamW, train_epoch
 from .vit import BlockGeometry, CompactVit, MaskSet, MaskedVit
-
-FROZEN_LR = 1e-8
 
 WARMUP, SPARSIFY, SHARPEN, FINETUNE = "warmup", "sparsify", "sharpen", "finetune"
 
@@ -163,8 +161,10 @@ class PruningRun:
         self.taylor = TaylorAccumulator(sizes)
         self.bp_acc = RunningMean([{"class": c.num_blocks, "patch": c.num_blocks}])
 
-        lr = FROZEN_LR if run_config.frozen else run_config.optimizer.lr_model
-        self.model_opt = AdamW(model.parameters(), lr=lr,
+        for t in model.parameters():  # frozen: constants, yet the masks still get gradients
+            t.requires_grad = not run_config.frozen
+        self.model_opt = AdamW([t for t in model.parameters() if t.requires_grad],
+                               lr=run_config.optimizer.lr_model,
                                weight_decay=run_config.optimizer.weight_decay)
         self._check_feasible()
 
@@ -187,7 +187,7 @@ class PruningRun:
     def _train_step(self, x, labels):
         self.global_step += 1
         logits, trace = self.model.forward(x, self.masks)
-        task_loss = finite_loss(logits, labels)
+        task_loss = ag.softmax_cross_entropy(logits, labels)
         bp_class, bp_patch, _ = self.heads.step(trace, labels)  # heads' backward runs here
         if self.verify_stop_gradient:
             for p in self.model.parameters():
@@ -277,12 +277,12 @@ class PruningRun:
         masked_acc, _ = evaluate(self.model, self.val_ds, masks=self.masks)
         compact = CompactVit.from_masked(self.model, self.masks)
         compact_acc, _ = evaluate(compact, self.val_ds)
-        opt = AdamW(compact.parameters(), lr=opt_cfg.lr_finetune or opt_cfg.lr_model,
-                    weight_decay=opt_cfg.weight_decay)
+        lr = opt_cfg.lr_model if opt_cfg.lr_finetune is None else opt_cfg.lr_finetune
+        opt = AdamW(compact.parameters(), lr=lr, weight_decay=opt_cfg.weight_decay)
 
         def finetune_step(x, labels):
             self.global_step += 1
-            loss = finite_loss(compact.forward(x), labels)
+            loss = ag.softmax_cross_entropy(compact.forward(x), labels)
             ag.backward(loss)
             return loss
 
@@ -317,7 +317,7 @@ def train_dense(model, train_ds, val_ds, cfg, epochs, metrics=None,
     for epoch in range(epochs):
         def step(x, labels):
             logits, _ = model.forward(x, masks, collect_trace=False)
-            loss = finite_loss(logits, labels)
+            loss = ag.softmax_cross_entropy(logits, labels)
             ag.backward(loss)
             return loss
 

@@ -99,3 +99,27 @@ def test_out_file_records_the_environment_and_intervals(tmp_path, monkeypatch):
     assert record["python"] == platform.python_version()
     row = record["workloads"]["prune-desk24"]["metrics"]["wall_s"]
     assert row["ratio_interval"] == [1.0, 1.0] and row["interval_coverage"] == 1 - 2 / 64
+
+
+def test_paths_of_different_length_warn_and_are_recorded(tmp_path, monkeypatch, capsys):
+    bench = (Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text()
+    declared = json.loads(bench)["end_to_end"]
+    parent, change = tmp_path / "parent", tmp_path / "change-2"
+    for root in (parent, change):
+        root.mkdir()
+        (root / "BENCHMARK.json").write_text(bench)
+    monkeypatch.setattr(ab, "run_once", lambda run_root, workload, seed, seconds: {
+        "correct": True, "metrics": {m["name"]: {"value": 1.0} for m in declared}})
+    monkeypatch.setattr(ab, "git_sha", lambda root: None)
+    out = tmp_path / "bench.json"
+    assert ab.main([str(parent), str(change), "--workload", "prune-resnet32", "--pairs", "1",
+                    "--out", str(out)]) == 0
+    n = len(str(parent.resolve()))
+    assert f"checkout paths differ in length ({n} against {n + 2} characters)" in \
+        capsys.readouterr().err
+    assert json.loads(out.read_text())["paths"] == {
+        "parent": str(parent.resolve()), "change": str(change.resolve()),
+        "parent_length": n, "change_length": n + 2}
+    # paths of one length give no warning
+    assert ab.checkout_paths(Path("/a/parent"), Path("/a/change"))["change_length"] == 9
+    assert capsys.readouterr().err == ""

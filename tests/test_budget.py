@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -85,6 +86,36 @@ def oracle_allocate(imp, w, target, floor, resolution=1e-6):
     return np.clip(0.5 * (lo + hi) * imp, floor, 1.0)
 
 
+def scan_allocate(imp, w, target, floor):
+    """The breakpoint scan ``allocate`` used before its table search, as the
+    reference for its bytes: walk the bends upward to the first whose budget
+    meets the target and interpolate on the segment that ends there."""
+    imp, w = np.asarray(imp, float), np.asarray(w, float)
+    goal = target * w.sum()
+    if np.all(imp == 0):
+        imp = np.full(imp.size, 1.0 / imp.size)
+
+    def total(c):
+        return float((w * np.clip(c * imp, floor, 1.0)).sum())
+
+    pos = imp > 0
+    events = np.concatenate([floor / imp[pos] if floor > 0 else [], 1.0 / imp[pos]])
+    prev_c, prev_f = 0.0, total(0.0)
+    if prev_f >= goal:
+        return np.clip(0.0 * imp, floor, 1.0)
+    for c_evt in np.unique(events[np.isfinite(events)]):
+        f_evt = total(c_evt)
+        if f_evt >= goal:
+            slope = (f_evt - prev_f) / (c_evt - prev_c) if c_evt > prev_c else 0.0
+            c_star = c_evt if slope == 0.0 else prev_c + (goal - prev_f) / slope
+            return np.clip(c_star * imp, floor, 1.0)
+        prev_c, prev_f = c_evt, f_evt
+    if abs(prev_f - goal) > 1e-6 * max(1.0, goal):
+        raise BudgetInfeasibleError(f"cannot reach keep ratio {target}: all blocks at bounds "
+                                    f"give {prev_f / w.sum():.6f}")
+    return np.clip(prev_c * imp, floor, 1.0)
+
+
 class TestAllocate:
     def test_worked_clip_example(self):
         sol = allocate([0.9, 0.1], [100, 100], keep_target=0.6, keep_floor=0.0)
@@ -125,6 +156,11 @@ class TestAllocate:
         assert np.array_equal(sol.keep_ratios, np.full(4, 0.3))
         assert sol.achieved == pytest.approx(0.3, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [-0.1, math.nan])
+    def test_importance_must_be_nonnegative(self, bad):
+        with pytest.raises(ValueError, match="importance must be nonnegative"):
+            allocate([0.5, bad], [10, 10], keep_target=0.5, keep_floor=0.05)
+
     def test_all_zero_importance_falls_back_to_uniform(self):
         sol = allocate([0.0, 0.0, 0.0], [10, 20, 30], keep_target=0.4, keep_floor=0.05)
         assert np.allclose(sol.keep_ratios, 0.4, atol=1e-12)
@@ -162,3 +198,23 @@ class TestAllocate:
             assert np.max(np.abs(sol.keep_ratios - ref)) < 1e-6, (
                 f"trial {trial}: {sol.keep_ratios} vs {ref}")
             assert isinstance(sol, BudgetSolution)
+
+    def test_bit_equal_to_the_breakpoint_scan(self):
+        rng = np.random.default_rng(5)
+        for trial in range(3000):
+            b = int(rng.integers(1, 25))
+            imp = rng.choice([rng.uniform(0, 1, b), 10.0 ** rng.uniform(-6, 1, b),
+                              rng.choice([0.1, 0.2, 0.5], b)])  # the last repeats bends
+            imp[rng.uniform(size=b) < 0.2] = 0.0
+            w = rng.integers(1, 20000, b).astype(float)
+            floor = float(rng.choice([0.0, 0.05, 0.1, 0.3]))
+            target = float(rng.choice([floor, 1.0, rng.uniform(floor, 1.0)]))
+            try:
+                ref = scan_allocate(imp, w, target, floor)
+            except BudgetInfeasibleError as exc:
+                with pytest.raises(BudgetInfeasibleError, match=f"^{re.escape(str(exc))}$"):
+                    allocate(imp, w, target, floor)
+                continue
+            sol = allocate(imp, w, target, floor)
+            assert sol.keep_ratios.tobytes() == ref.tobytes(), f"trial {trial}"
+            assert sol.achieved == float((w * ref).sum() / w.sum())

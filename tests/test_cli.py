@@ -64,6 +64,13 @@ BAD_CONFIGS = [
     {"schedule": {"mask_update_freq": -1}},
     {"model": {"patch_head": "vit"}},
     {"pruning": 5},
+    # optimizer and sharpness settings a run cannot use
+    {"optimizer": {"lr_model": -1.0}},
+    {"optimizer": {"lr_model": 0.0}},
+    {"optimizer": {"lr_finetune": 0.0}},
+    {"optimizer": {"lr_finetune": -1e-3}},
+    {"optimizer": {"weight_decay": -5.0}},
+    {"pruning": {"sharpness": 0.01, "sharpness_floor": 0.5}},
 ]
 
 # keys that no run set to anything but their default, each with the constant

@@ -5,11 +5,12 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from blockprune import autograd as ag
 from blockprune.autograd import Tensor
 from blockprune.budget import allocate, block_importance
+from blockprune.errors import BudgetInfeasibleError
 from blockprune.masking import (BlockGeometry, _guarded_order, _params_by_count,
                                 guard_minimums, mask_update, normalize_and_concat)
 
@@ -58,6 +59,51 @@ class TestAllocatorProperties:
         raised[i] *= data.draw(st.floats(1.0, 10.0))
         boosted = allocate(raised, w, target, floor).keep_ratios
         assert boosted[i] >= base[i] - 1e-9
+
+
+@st.composite
+def budget_instance(draw):
+    """Up to 24 blocks, some of zero importance, at any target from the
+    floor to 1; a zero block stays at the floor, so some are infeasible."""
+    b = draw(st.integers(min_value=1, max_value=24))
+    imp = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 10.0)),
+                                 min_size=b, max_size=b)))
+    w = np.array(draw(st.lists(st.integers(1, 100000), min_size=b, max_size=b)), dtype=float)
+    floor = draw(st.sampled_from([0.0, 0.05, 0.1, 0.3]))
+    target = draw(st.one_of(st.just(floor), st.just(1.0), st.floats(max(floor, 1e-6), 1.0)))
+    return imp, w, floor, target
+
+
+class TestAllocateExactness:
+    @settings(max_examples=400, deadline=None)
+    @given(budget_instance())
+    def test_one_scale_meets_the_target_or_raises(self, inst):
+        imp, w, floor, target = inst
+        eff = imp if imp.any() else np.ones_like(imp)  # all zero: uniform
+        goal, tol = target * w.sum(), 1e-6 * max(1.0, target * w.sum())
+        at_bounds = (w * np.where(eff > 0, 1.0, floor)).sum()
+        # this sum and allocate's may round apart: skip targets at the tolerance edge
+        assume(abs(goal - at_bounds - tol) > 1e-9 * tol)
+        if goal - at_bounds > tol:
+            with pytest.raises(BudgetInfeasibleError, match="all blocks at bounds"):
+                allocate(imp, w, target, floor)
+            return
+        kappa = allocate(imp, w, target, floor).keep_ratios
+        reached = (w * kappa).sum()
+        if at_bounds >= goal:
+            assert abs(reached - goal) <= 1e-12 * goal
+        else:  # within the tolerance: every block at its bound
+            assert abs(reached - at_bounds) <= 1e-12 * at_bounds
+        # one scale c gives every ratio as clip(c * imp, floor, 1): a zero
+        # block sits at the floor, and the scales the others allow overlap
+        pos = eff > 0
+        assert np.all(kappa[~pos] == floor)
+        k, c = kappa[pos], kappa[pos] / eff[pos]
+        free = (k > floor) & (k < 1.0)
+        assert np.all(free | (k == floor) | (k == 1.0))
+        lo = np.max(c, where=free | (k == 1.0), initial=0.0)
+        hi = np.min(c, where=free | (k == floor), initial=np.inf)
+        assert lo <= hi * (1 + 1e-12)
 
 
 class TestImportanceProperties:

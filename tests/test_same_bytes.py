@@ -94,6 +94,19 @@ def test_one_flipped_kept_element_fails(parent, tmp_path, capsys):
     assert "identical         micro/prune/masked-step2.ckpt" in out
 
 
+def test_byte_mode_names_what_differs(parent, tmp_path, capsys):
+    flipped = write_tree(tmp_path / "flipped", flip_at=UPDATES[1])
+    assert same_bytes.compare(parent, flipped) == 3
+    out = capsys.readouterr().out
+    assert "first decision that differs: mask.0.e kept[0]: True != False" in out
+    assert "7 files compared, 3 differ\n" in out
+    moved = write_tree(tmp_path / "moved", ulps=3)
+    assert same_bytes.compare(parent, moved) == 4  # the printed floats keep their digits
+    out = capsys.readouterr().out
+    assert "DIFFERS           micro/prune/masked-step2.ckpt\n" in out
+    assert "first decision" not in out and "largest relative difference" in out
+
+
 def test_floats_moved_a_few_ulps_pass(parent, tmp_path, capsys):
     change = write_tree(tmp_path / "change", ulps=3)
     assert same_bytes.compare(parent, change) > 0  # the bytes differ

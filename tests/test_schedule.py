@@ -184,12 +184,13 @@ class TestPruningRun:
         before = [p.data.copy() for p in model.parameters()]
         run = PruningRun(model, masks, heads, sched, train, val, cfg)
         compact, summary = run.run()
-        # fine-tuning trains a compact copy; the backbone must only carry the
-        # negligible drift of the 1e-8 pruning-phase learning rate
-        delta = np.sqrt(sum(float(((p.data - b) ** 2).sum())
-                            for p, b in zip(model.parameters(), before)))
-        norm = np.sqrt(sum(float((b ** 2).sum()) for b in before))
-        assert delta / norm < 1e-4
+        # every step reads the mask gradients (MaskSet.gradients raises when
+        # one is missing); fine-tuning trains a compact copy; the backbone is
+        # a constant
+        assert all(np.array_equal(p.data, b) for p, b in zip(model.parameters(), before))
+        assert any(not np.array_equal(p.data, q.data)
+                   for p, q in zip(compact.parameters(), CompactVit.from_masked(model, masks)
+                                   .parameters()))
         assert summary["frozen"] is True
 
     def test_nonfinite_loss_aborts(self):

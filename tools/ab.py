@@ -12,10 +12,11 @@ For every end-to-end metric of ``BENCHMARK.json`` it prints the parent's and
 the change's median, the median of the per-pair ratios change / parent with
 a distribution-free interval for it (``median_interval``; none below 6
 pairs), and the pairs the change won, in the metric's ``better`` direction.
-It writes every value, both git shas, ``nproc``, ``OPENBLAS_NUM_THREADS``
-and the numpy and Python versions to ``--out``; a file that already holds
-the same two shas keeps its other workloads. It exits 1 if any run's
-``correct`` is false.
+It writes every value, both git shas, both checkout paths and their
+lengths, ``nproc``, ``OPENBLAS_NUM_THREADS`` and the numpy and Python
+versions to ``--out``; a file that already holds the same two shas keeps
+its other workloads. It warns on stderr when the two paths differ in
+length, and exits 1 if any run's ``correct`` is false.
 """
 
 from __future__ import annotations
@@ -108,6 +109,21 @@ def print_summary(rows, n):
               f"({r['better']} is better)")
 
 
+def checkout_paths(parent, change):
+    """Both checkout paths and their lengths. Warns on stderr when the
+    lengths differ: ``prune-resnet32``'s ``peak_rss_mb`` was seen to follow
+    the length of the checkout's path (about 139 against 141 MB for a path
+    4 characters longer), so such an A/B can show a memory difference that
+    no code made."""
+    paths = {"parent": str(parent), "change": str(change),
+             "parent_length": len(str(parent)), "change_length": len(str(change))}
+    if paths["parent_length"] != paths["change_length"]:
+        print(f"warning: the checkout paths differ in length ({paths['parent_length']} "
+              f"against {paths['change_length']} characters); peak_rss_mb may follow "
+              "the path, not the code", file=sys.stderr)
+    return paths
+
+
 def git_sha(root):
     """HEAD of ``root``, with ``-dirty`` when the tree has uncommitted changes;
     None outside a git checkout."""
@@ -129,6 +145,7 @@ def main(argv=None):
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
     parent, change = args.parent.resolve(), args.change.resolve()
+    paths = checkout_paths(parent, change)
     bench = json.loads((change / "BENCHMARK.json").read_text())
 
     pairs = []
@@ -145,6 +162,7 @@ def main(argv=None):
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
     if not record or {k: record.get(k) for k in shas} != shas:
         record = {**shas, "workloads": {}}
+    record["paths"] = paths
     record["nproc"] = len(os.sched_getaffinity(0))
     record["openblas_num_threads"] = os.environ.get("OPENBLAS_NUM_THREADS", "")
     record["numpy"] = importlib.metadata.version("numpy")

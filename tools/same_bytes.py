@@ -19,10 +19,11 @@ It then compares the two trees' outputs: every ``.csv`` and ``.ckpt`` file
 and every command's stdout byte for byte, and every ``.json`` file with the
 ``started``, ``finished``, ``runtime_sec`` and ``out`` fields left out. It
 prints one line per file and exits 1 on any difference. Under each
-differing checkpoint it prints the largest relative difference of a tensor
-(its largest absolute difference over the largest absolute value in
-either tree) and whether the kept sets are equal: the mask elements at 0.5 or
-above of a masked checkpoint, the ``{kind}_idx`` lists of a compact one.
+differing file it prints the first decision that differs, such as a kept
+set (the mask elements at 0.5 or above of a masked checkpoint, the
+``{kind}_idx`` lists of a compact one), or else the largest relative
+difference of a float group; decisions and float groups are as under
+``--tolerance`` below.
 
 ``--seeds N`` runs every configuration at its own seed and the N - 1 seeds
 after it; the runs past the first go to ``{config}-seed{i}``.
@@ -188,16 +189,6 @@ def _relative_difference(a, b):
     return np.max(np.abs(a - b), initial=0.0) / scale
 
 
-def checkpoint_difference(a, b):
-    """One line on how two checkpoints differ."""
-    (ha, ta), (hb, tb) = _checkpoint(a), _checkpoint(b)
-    kept = "kept sets equal" if _kept_sets(ha, ta) == _kept_sets(hb, tb) else "kept sets DIFFER"
-    if {k: t.shape for k, t in ta.items()} != {k: t.shape for k, t in tb.items()}:
-        return f"tensor names or shapes differ; {kept}"
-    rel = max(_relative_difference(ta[k], tb[k]) for k in ta)
-    return f"largest relative tensor difference {rel:.3g}; {kept}"
-
-
 # a float literal as the CLI and the CSV writer print one; integers, names and
 # phases are decisions
 FLOAT = re.compile(
@@ -270,9 +261,10 @@ def _first_difference(decisions_a, decisions_b):
 
 def same_decisions(a, b, tolerance):
     """(passes, one line) for two output files: they pass when they make the
-    same decisions and every float group agrees within its bound. Equal
-    decisions give equal float groups: the same CSV cells, JSON keys, stdout
-    lines and checkpoint entries."""
+    same decisions and every float group agrees within its bound, which is
+    unbounded without a ``tolerance``. Equal decisions give equal float
+    groups: the same CSV cells, JSON keys, stdout lines and checkpoint
+    entries."""
     (da, fa), (db, fb) = _parts(a), _parts(b)
     if failure := _first_difference(da, db):
         return False, failure
@@ -280,7 +272,7 @@ def same_decisions(a, b, tolerance):
     for group in fa:
         rel = _relative_difference(np.array(fa[group], dtype=np.float64),
                                    np.array(fb[group], dtype=np.float64))
-        bound = (tolerance["tensor"] if a.suffix == ".ckpt"
+        bound = (math.inf if tolerance is None else tolerance["tensor"] if a.suffix == ".ckpt"
                  else tolerance.get("columns", {}).get(group, tolerance["float"]))
         largest = max(largest, rel)
         if not rel <= bound:
@@ -303,13 +295,9 @@ def compare(left, right, tolerance=None):
             verdict = "unknown file type"
         elif same(a, b):
             verdict = "identical"
-        elif tolerance is None:
-            verdict = "DIFFERS"
-            if rel.suffix == ".ckpt":
-                detail = checkpoint_difference(a, b)
         else:
             passes, detail = same_decisions(a, b, tolerance)
-            verdict = "within bounds" if passes else "FAILS"
+            verdict = "DIFFERS" if tolerance is None else "within bounds" if passes else "FAILS"
         differ += verdict != "identical"
         failed += verdict not in ("identical", "within bounds")
         print(f"{verdict:<17} {rel}")
