@@ -30,7 +30,7 @@ DEFAULT_DTYPE = np.float32
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
-_GELU_ROWS = 512  # rows per block of the no-grad gelu
+_GELU_ROWS = 512  # rows per block of gelu
 
 _M_TRIM_THRESHOLD = -1  # glibc malloc.h
 _M_MMAP_THRESHOLD = -3
@@ -296,53 +296,45 @@ def linear(x, w, b):
 def gelu(x):
     """GELU in its tanh form, with the matching exact derivative.
 
-    Without a recorded gradient it runs in cache-sized blocks of rows of one
-    output buffer, with the same ops in the same order.
+    It runs in cache-sized blocks of rows. The tanh term goes to a buffer of
+    its own, kept for the backward, only when a gradient is recorded;
+    otherwise it is computed in the output buffer.
     """
     xa = x.data
-    if not (tape.enabled and x.requires_grad):
-        data = np.empty(xa.shape, dtype=xa.dtype)
-        rows = xa.reshape(math.prod(xa.shape[:-1]), xa.shape[-1] if xa.ndim else 1)
-        out = data.reshape(rows.shape)
-        for lo in range(0, rows.shape[0], _GELU_ROWS):
-            xb, ob = rows[lo:lo + _GELU_ROWS], out[lo:lo + _GELU_ROWS]
-            np.multiply(xb, xb, out=ob)
-            ob *= _GELU_A
-            ob += 1.0
-            ob *= xb
-            ob *= _GELU_C
-            np.tanh(ob, out=ob)
-            ob += 1.0
-            ob *= xb
-            ob *= 0.5
-        return _out(data, (x,), None)
-    xa = np.atleast_1d(xa)  # numpy returns a scalar, not an array, for 0-d operands
-    x2 = xa * xa
-    th = x2 * _GELU_A
-    th += 1.0
-    th *= xa
-    th *= _GELU_C
-    np.tanh(th, out=th)
-    data = th + 1.0
-    data *= xa
-    data *= 0.5
+    recorded = tape.enabled and x.requires_grad
+    data = np.empty(xa.shape, dtype=xa.dtype)
+    rows = xa.reshape(math.prod(xa.shape[:-1]), xa.shape[-1] if xa.ndim else 1)
+    out = data.reshape(rows.shape)
+    th = np.empty_like(out) if recorded else out
+    for lo in range(0, rows.shape[0], _GELU_ROWS):
+        xb, tb, ob = (a[lo:lo + _GELU_ROWS] for a in (rows, th, out))
+        np.multiply(xb, xb, out=tb)
+        tb *= _GELU_A
+        tb += 1.0
+        tb *= xb
+        tb *= _GELU_C
+        np.tanh(tb, out=tb)
+        np.add(tb, 1.0, out=ob)
+        ob *= xb
+        ob *= 0.5
 
     def bwd(g):
         # d/dx = 0.5(1+th) + 0.5·x·(1-th²)·C·(1+3A·x²)
         dx = th * th
         np.subtract(1.0, dx, out=dx)
-        dx *= xa
-        dinner = np.multiply(x2, 3.0 * _GELU_A, out=x2)
+        dx *= rows
+        dinner = rows * rows
+        dinner *= 3.0 * _GELU_A
         dinner += 1.0
         dx *= dinner
         dx *= _GELU_C
         dx += th
         dx += 1.0
         dx *= 0.5
-        dx *= g
+        dx *= g.reshape(dx.shape)
         _accum(x, dx.reshape(x.shape))
 
-    return _out(data.reshape(x.shape), (x,), bwd)
+    return _out(data, (x,), bwd)
 
 
 def sigmoid(x):
@@ -560,14 +552,11 @@ def repeat_axis0(x, n):
 
 def mean(x, axis=None):
     data = np.asarray(x.data.mean(axis=axis), dtype=x.dtype)
-    count = x.size if axis is None else int(np.prod([x.shape[a] for a in np.atleast_1d(axis)]))
+    axes = tuple(range(x.ndim)) if axis is None else axis
+    count = int(np.prod([x.shape[a] for a in np.atleast_1d(axes)]))
 
     def bwd(g):
-        if axis is None:
-            _accum(x, np.full_like(x.data, g / count))
-        else:
-            ge = np.expand_dims(g, axis) / count
-            _accum(x, np.broadcast_to(ge, x.shape).astype(x.dtype))
+        _accum(x, np.broadcast_to(np.expand_dims(g, axes) / count, x.shape).astype(x.dtype))
 
     return _out(data, (x,), bwd)
 
@@ -636,7 +625,7 @@ def conv2d_3x3(x, kernel):
         if not x.requires_grad:
             return
         dcols = (gf @ kmat.T).reshape(n, h, w, 9 * c)
-        dxp = np.zeros_like(xp)
+        dxp = np.zeros((n, h + 2, w + 2, c), x.dtype)
         for dy in range(3):
             for dx in range(3):
                 j = (dy * 3 + dx) * c

@@ -79,6 +79,8 @@ class RunConfig:
 
     def validate(self):
         p, s, m, d = self.pruning, self.schedule, self.model, self.data
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if d.train_per_class < 1 or d.val_per_class < 1:
             raise ConfigError("data.train_per_class and data.val_per_class must be >= 1")
         if d.template_grid < 1:

@@ -150,6 +150,10 @@ class PruningRun:
         self.steps_per_epoch = max(1, -(-len(train_ds) // run_config.schedule.batch_size))
         freq = schedule.mask_update_freq or self.steps_per_epoch
         self.update_freq = max(1, freq)
+        # the last step of the last phase that updates masks always updates them
+        last = (schedule.pruning_epochs if run_config.schedule.update_masks_during_sharpen
+                else schedule.epochs_warmup + schedule.epochs_sparsify)
+        self.last_update_step = last * self.steps_per_epoch
         self.sharpness = run_config.pruning.sharpness
         self.global_step = 0
         self.current_keep = 1.0
@@ -231,7 +235,8 @@ class PruningRun:
 
     def _after_step(self, phase):
         """Mask update when one is due past warm-up, then the step callback."""
-        if phase != WARMUP and self.global_step % self.update_freq == 0:
+        due = self.global_step % self.update_freq == 0 or self.global_step == self.last_update_step
+        if phase != WARMUP and due:
             s, p = self.schedule, self.cfg.pruning
             warm_steps = s.epochs_warmup * self.steps_per_epoch
             sparsify_steps = s.epochs_sparsify * self.steps_per_epoch

@@ -1,5 +1,6 @@
 import ctypes
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -260,6 +261,67 @@ class TestGeluNoGrad:
         assert len(ag.tape) == 0
 
 
+def traced_bytes_held(fn):
+    """Bytes allocated by ``fn()`` and still held when it returns, with its result."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[0], result
+    finally:
+        tracemalloc.stop()
+
+
+def unblocked_gelu(xa, g):
+    """The recorded GELU rule before it joined the blocked loop, as the
+    reference for its bytes: output and input gradient for upstream ``g``."""
+    shape = xa.shape
+    xa = np.atleast_1d(xa)
+    x2 = xa * xa
+    th = x2 * ag._GELU_A
+    th += 1.0
+    th *= xa
+    th *= ag._GELU_C
+    np.tanh(th, out=th)
+    data = th + 1.0
+    data *= xa
+    data *= 0.5
+    dx = th * th
+    np.subtract(1.0, dx, out=dx)
+    dx *= xa
+    dinner = np.multiply(x2, 3.0 * ag._GELU_A, out=x2)
+    dinner += 1.0
+    dx *= dinner
+    dx *= ag._GELU_C
+    dx += th
+    dx += 1.0
+    dx *= 0.5
+    dx *= g
+    return data.reshape(shape), dx.reshape(shape)
+
+
+class TestGeluRecorded:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1, 7), (512, 7), (513, 7), (1000, 33), (9,),
+                                       (2, 3, 4, 5), ()])
+    def test_bit_equal_to_the_unblocked_rule(self, shape, dtype):
+        rng = np.random.default_rng(15)
+        x = Tensor((3 * rng.normal(size=shape)).astype(dtype), requires_grad=True)
+        g = rng.normal(size=shape).astype(dtype)
+        y = ag.gelu(x)
+        ag.backward(ag.tsum(ag.mul(y, Tensor(g))))  # hands gelu exactly g
+        ref_out, ref_grad = unblocked_gelu(x.data, g)
+        assert y.data.tobytes() == ref_out.tobytes()
+        assert x.grad.shape == shape
+        assert x.grad.tobytes() == ref_grad.tobytes()
+
+    def test_graph_holds_output_and_tanh_only(self):
+        x = Tensor(np.random.default_rng(16).normal(size=(1040, 256)).astype(np.float32),
+                   requires_grad=True)
+        held, y = traced_bytes_held(lambda: ag.gelu(x))
+        assert y.requires_grad
+        assert held <= 2.01 * x.data.nbytes
+
+
 class TestDetach:
     def test_values_equal(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
@@ -304,6 +366,15 @@ class TestConv:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             ag.conv2d_3x3(Tensor(np.ones((1, 3, 4, 1))), Tensor(np.ones((3, 3, 1, 1))))
+
+    def test_graph_holds_output_and_columns_only(self):
+        # output 1x, im2col columns 9x; the padded input is not kept for the backward
+        rng = np.random.default_rng(17)
+        x = Tensor(rng.normal(size=(16, 8, 8, 64)).astype(np.float32), requires_grad=True)
+        k = Tensor(rng.normal(size=(3, 3, 64, 64)).astype(np.float32), requires_grad=True)
+        held, y = traced_bytes_held(lambda: ag.conv2d_3x3(x, k))
+        assert y.requires_grad
+        assert held <= 10.01 * x.data.nbytes
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(10)

@@ -71,6 +71,7 @@ BAD_CONFIGS = [
     {"optimizer": {"lr_finetune": -1e-3}},
     {"optimizer": {"weight_decay": -5.0}},
     {"pruning": {"sharpness": 0.01, "sharpness_floor": 0.5}},
+    {"seed": -1},  # numpy's generators take no negative seed
 ]
 
 # keys that no run set to anything but their default, each with the constant
@@ -670,6 +671,14 @@ class TestCommands:
             path = micro_config_file(tmp_path, out=str(tmp_path / f"bad{i}"), **raw)
             for command in ("train", "prune"):
                 assert cli.main([command, "--config", path]) == ConfigError.exit_code, raw
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        path = micro_config_file(tmp_path, out=str(tmp_path / "run"))
+        for command in ("train", "prune"):
+            capsys.readouterr()
+            assert cli.main([command, "--config", path, "--seed", "-1"]) == ConfigError.exit_code
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and "seed" in err[0]
 
     @pytest.mark.parametrize("section,key,value", REMOVED_KEYS)
     def test_removed_key_exits_2(self, tmp_path, capsys, section, key, value):

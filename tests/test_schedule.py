@@ -172,6 +172,22 @@ class TestPruningRun:
         targets = [t for t, _ in checks]
         assert all(a >= b - 1e-12 for a, b in zip(targets, targets[1:]))
 
+    @pytest.mark.parametrize("sparsify,sharpen,freq,sharpen_updates", [
+        (1, 0, 4, True), (0, 1, 10, True), (1, 1, 10, False)])
+    def test_keep_target_reached_whatever_the_update_freq(self, sparsify, sharpen, freq,
+                                                          sharpen_updates):
+        # 3 steps per epoch: no multiple of the frequency falls on the last
+        # step of the last phase that updates masks, which updates anyway
+        cfg, model, masks, heads, _, train, val = micro_setup(
+            sparsify=sparsify, sharpen=sharpen, finetune=0, per_class=16)
+        cfg.schedule.update_masks_during_sharpen = sharpen_updates
+        sched = PruneSchedule(1, sparsify, sharpen, 0, freq, 0.5)
+        run = PruningRun(model, masks, heads, sched, train, val, cfg)
+        _, summary = run.run()
+        assert run.steps_per_epoch == 3
+        quantum = max(3 * g.heads * g.sizes[g.inner_kind] + 1 for g in run.geoms)
+        assert abs(summary["params_remaining"] - 0.5 * summary["params_total"]) <= quantum
+
     def test_stop_gradient_enforced_every_step(self):
         cfg, model, masks, heads, sched, train, val = micro_setup(finetune=0)
         run = PruningRun(model, masks, heads, sched, train, val, cfg,
