@@ -23,6 +23,7 @@ import math
 from contextlib import contextmanager
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericError
 
@@ -609,12 +610,11 @@ def conv2d_3x3(x, kernel):
     kh, kw, cin, cout = kernel.shape
     if (kh, kw) != (3, 3) or cin != c:
         raise ValueError("kernel must be 3x3 with matching input channels")
-    xp = np.pad(x.data, ((0, 0), (1, 1), (1, 1), (0, 0)))
-    cols = np.empty((n, h, w, 9 * c), dtype=x.dtype)
-    for dy in range(3):
-        for dx in range(3):
-            j = (dy * 3 + dx) * c
-            cols[..., j:j + c] = xp[:, dy:dy + h, dx:dx + w, :]
+    xp = np.zeros((n, h + 2, w + 2, c), x.dtype)
+    xp[:, 1:h + 1, 1:w + 1] = x.data
+    # the nine taps in one strided copy, tap-major: column (dy·3 + dx)·c + channel
+    cols = np.empty((n, h, w, 3, 3, c), dtype=x.dtype)
+    cols[...] = sliding_window_view(xp, (3, 3), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
     flat = cols.reshape(n * h * w, 9 * c)
     kmat = kernel.data.reshape(9 * c, cout)
     data = (flat @ kmat).reshape(n, h, w, cout)

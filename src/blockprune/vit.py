@@ -8,17 +8,21 @@ indices put Attention on odd positions.
 
 Both models share one trunk (``_Trunk``): the patch embedding, class token
 and position embedding before the blocks, the one attention/MLP block body
-(``_Trunk._block``), and the readout (final layernorm, class token, head)
-after them. Attention runs as one autograd node, ``ag.attention``, from the
-q/k/v projection to the merged heads. Pruning never narrows the trunk. Both
-are built from one dict per block of its index lists, the full range until
-compaction narrows them, which give every tensor its shape. The two models
-differ only in the weights they hand the block body: every channel gate sits
-on the weights, not on the activations. The masked model folds its masks
-into the rows and columns of the projections, so a mask costs a weight-sized
-multiply whatever the batch; the compact model widens its narrowed output
-projection back to full width with zero columns, so its delta adds straight
-into the residual stream, and gathers only its kept input channels.
+(``_Trunk._block``), the readout (final layernorm, class token, head) after
+them, and the one loop that runs them (``_Trunk.run``) on the block weights
+a forward prepares once. With the tape off and no trace, the loop runs
+``GROUP_IMAGES`` images at a time, so each op's output is still in L2 when
+the next op reads it; BLAS may round a short group's rows differently, in
+the last float32 bits. Attention runs as one autograd node, ``ag.attention``,
+from the q/k/v projection to the merged heads. Pruning never narrows the trunk. Both are built from one dict per block of
+its index lists, the full range until compaction narrows them, which give
+every tensor its shape. The two models differ only in the weights they hand
+the block body: every channel gate sits on the weights, not on the
+activations. The masked model folds its masks into the rows and columns of
+the projections, so a mask costs a weight-sized multiply whatever the batch;
+the compact model widens its narrowed output projection back to full width
+with zero columns, so its delta adds straight into the residual stream, and
+gathers only its kept input channels.
 """
 
 from __future__ import annotations
@@ -36,6 +40,10 @@ ATTN = "attn"
 MLP = "mlp"
 
 MASK_KINDS = {ATTN: ("in", "out", "e"), MLP: ("in", "out", "hid")}
+
+# images per group of an untraced no-grad forward; at 32 px a group's MLP
+# hidden layer and attention probabilities are about 2 MB each
+GROUP_IMAGES = 32
 
 
 @dataclass
@@ -268,6 +276,23 @@ class _Trunk:
                 + [t for i in range(self.config.num_blocks) for t in self.block_weights(i)]
                 + [getattr(self, name) for name in self.HEAD])
 
+    def run(self, images, prepared, trace=None):
+        """Logits of ``images`` through the blocks, block i with the weights
+        and input read ``prepared[i]`` as ``_block`` takes them. With the tape
+        off and no ``trace`` list, the images run ``GROUP_IMAGES`` at a time;
+        else as one group, each block's ``BlockRecord`` put on ``trace``."""
+        n, g = images.shape[0], GROUP_IMAGES
+        groups = ([images] if ag.tape.enabled or trace is not None or n <= g
+                  else [Tensor(images.data[lo:lo + g]) for lo in range(0, n, g)])
+        logits = []
+        for x in map(self.embed, groups):
+            for i, (b, (weights, read)) in enumerate(zip(self.blocks, prepared)):
+                before, x = x, ag.add(x, self._block(x, b["type"], weights, read))
+                if trace is not None:
+                    trace.append(BlockRecord(i, before.detach(), x.detach()))
+            logits.append(self.readout(x))
+        return ag.concat(logits, axis=0) if len(logits) > 1 else logits[0]
+
     def embed(self, images):
         c = self.config
         if images.shape[1] != c.image_size or images.shape[2] != c.image_size:
@@ -371,15 +396,10 @@ class MaskedVit(_Trunk):
 
     def forward(self, images, masks: MaskSet, collect_trace=True):
         """Masked forward pass; returns (logits, per-block trace)."""
-        x = self.embed(images)
         trace = []
-        for i in range(self.config.num_blocks):
-            before = x
-            x = ag.add(x, self._block(x, self.config.block_type(i), self.gated_weights(i, masks),
-                                      lambda h: h))
-            if collect_trace:
-                trace.append(BlockRecord(i, before.detach(), x.detach()))
-        return self.readout(x), trace
+        prepared = [(self.gated_weights(i, masks), lambda h: h)
+                    for i in range(self.config.num_blocks)]
+        return self.run(images, prepared, trace if collect_trace else None), trace
 
     def param_totals(self, masks: MaskSet):
         """(total, remaining) prunable parameters of every block, at threshold 0.5."""
@@ -426,12 +446,9 @@ class CompactVit(_Trunk):
         return compact
 
     def forward(self, images):
-        x = self.embed(images)
-        e = self.config.embed_dim
-        for i, b in enumerate(self.blocks):
-            ln_g, ln_b, w1, b1, w2, b2 = self.block_weights(i)
-            weights = (ln_g, ln_b, w1, b1, ag.scatter_last(w2, b["out_idx"], e),
-                       ag.scatter_last(b2, b["out_idx"], e))
-            x = ag.add(x, self._block(x, b["type"], weights,
-                                      lambda h: ag.take_last(h, b["in_idx"])))
-        return self.readout(x)
+        def prepare(i, b):
+            *first, w2, b2 = self.block_weights(i)
+            wide = [ag.scatter_last(t, b["out_idx"], self.config.embed_dim) for t in (w2, b2)]
+            return first + wide, lambda h: ag.take_last(h, b["in_idx"])
+
+        return self.run(images, [prepare(i, b) for i, b in enumerate(self.blocks)])

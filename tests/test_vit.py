@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from blockprune import autograd as ag
+from blockprune import vit
 from blockprune.autograd import Tensor
 from blockprune.errors import NumericError
-from blockprune.vit import CompactVit, MaskSet, MaskedVit, VitConfig
+from blockprune.vit import GROUP_IMAGES, CompactVit, MaskSet, MaskedVit, VitConfig
 
 from conftest import check_gradients
 
@@ -374,3 +376,83 @@ class TestCompaction:
         ag.backward(loss)
         grads = [p.grad is not None for p in compact.parameters()]
         assert any(grads)
+
+
+def pruned_forwards():
+    """The float32 forwards of a masked model with soft masks, about half of
+    every mask below 0.5, and of its compact model."""
+    model, masks = tiny_model(seed=13, dtype=np.float32)
+    rng = np.random.default_rng(14)
+    for i in range(TINY.num_blocks):
+        masks.set_block(i, {kind: np.where(np.arange(size) == 0, 0.9, rng.uniform(0.1, 1.0, size))
+                            for kind, size in TINY.mask_sizes(i).items()})
+    compact = CompactVit.from_masked(model, masks)
+    return {"masked": lambda x: model.forward(x, masks, collect_trace=False)[0],
+            "compact": compact.forward}
+
+
+def count_embeds(monkeypatch):
+    """The batch size of every ``embed`` call from here on."""
+    sizes = []
+    embed = vit._Trunk.embed
+    monkeypatch.setattr(vit._Trunk, "embed",
+                        lambda self, images: sizes.append(images.shape[0]) or embed(self, images))
+    return sizes
+
+
+class TestGroupedForward:
+    @pytest.mark.parametrize("kind", ["masked", "compact"])
+    @pytest.mark.parametrize("n", [1, GROUP_IMAGES - 1, GROUP_IMAGES, GROUP_IMAGES + 1,
+                                   3 * GROUP_IMAGES + 5])
+    def test_nograd_logits_match_the_recorded_forward(self, kind, n, monkeypatch):
+        # a group's rows may round differently in BLAS, by a few float32 ulps
+        # of the logits: |grouped - recorded| <= 1e-6 + 1e-5·|recorded|
+        forward = pruned_forwards()[kind]
+        x = rand_images(n, dtype=np.float32)
+        sizes = count_embeds(monkeypatch)
+        recorded = forward(x)
+        assert recorded.requires_grad and sizes == [n]
+        sizes.clear()
+        with ag.no_grad():
+            grouped = forward(x)
+        full, rest = divmod(n, GROUP_IMAGES)
+        assert sizes == [GROUP_IMAGES] * full + [rest] * (rest > 0)
+        assert grouped.shape == recorded.shape == (n, TINY.num_classes)
+        assert np.allclose(grouped.data, recorded.data, rtol=1e-5, atol=1e-6)
+        assert np.array_equal(grouped.data.argmax(axis=1), recorded.data.argmax(axis=1))
+
+    def test_traced_nograd_forward_is_one_group(self, monkeypatch):
+        model, masks = tiny_model(dtype=np.float32)
+        n = GROUP_IMAGES + 1
+        sizes = count_embeds(monkeypatch)
+        with ag.no_grad():
+            logits, trace = model.forward(rand_images(n, dtype=np.float32), masks)
+        assert sizes == [n] and logits.shape == (n, TINY.num_classes)
+        assert [r.index for r in trace] == list(range(TINY.num_blocks))
+        t = TINY.num_patches + 1
+        for r in trace:
+            assert r.before.shape == r.after.shape == (n, t, TINY.embed_dim)
+
+    def test_nograd_peak_memory_follows_the_group(self, monkeypatch):
+        # 17 tokens of width 32: a group's activations, not the weights,
+        # set the peak, which stays flat past one group and grows with the
+        # batch when the whole batch is one group
+        cfg = VitConfig(image_size=16, patch_size=4, embed_dim=32, heads=2, depth=1,
+                        mlp_ratio=4.0, num_classes=3, channels=1)
+        model, masks = MaskedVit(cfg, seed=0), MaskSet(cfg)
+        images = {n: rand_images(n, config=cfg, dtype=np.float32)
+                  for n in (GROUP_IMAGES, 8 * GROUP_IMAGES)}
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                with ag.no_grad():
+                    model.forward(images[n], masks, collect_trace=False)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        grouped = peak(GROUP_IMAGES), peak(8 * GROUP_IMAGES)
+        assert grouped[1] <= 2 * grouped[0]
+        monkeypatch.setattr(vit, "GROUP_IMAGES", 8 * GROUP_IMAGES)
+        assert peak(8 * GROUP_IMAGES) > 4 * grouped[0]

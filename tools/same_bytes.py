@@ -4,16 +4,17 @@ for the same seeds.
     python3 tools/same_bytes.py [--tolerance FILE] [--seeds N] PARENT_SRC CHANGE_SRC
 
 Each argument is a directory that holds the ``blockprune`` package, such as
-the ``src/`` of a checkout. For each of four seeded configurations, a micro
+the ``src/`` of a checkout. For each of five seeded configurations, a micro
 run with flips and a checkpoint every epoch, a ResNet-probe variant of it, a
 variant whose large per-mask guard fraction makes the guard change the kept
-set and a variant with its own sharpness ramp and floor, benefit blend,
+set, a variant with its own sharpness ramp and floor, benefit blend,
 learning rate, weight decay and data settings, no mask updates while
-sharpening and updates every 3 steps, the script runs ``train``, ``prune``,
-``probe`` (on the final and the epoch-1 dense checkpoint), ``report`` (on the
-probe directory) and ``eval`` (on the compact and the masked pruned
-checkpoint) once per tree. Every command runs in its own subprocess with
-that tree alone on ``PYTHONPATH``.
+sharpening and updates every 3 steps, and a variant whose validation split
+is large enough for grouped no-grad forwards, the script runs ``train``,
+``prune``, ``probe`` (on the final and the epoch-1 dense checkpoint),
+``report`` (on the probe directory) and ``eval`` (on the compact and the
+masked pruned checkpoint) once per tree. Every command runs in its own
+subprocess with that tree alone on ``PYTHONPATH``.
 
 It then compares the two trees' outputs: every ``.csv`` and ``.ckpt`` file
 and every command's stdout byte for byte, and every ``.json`` file with the
@@ -101,7 +102,15 @@ SCHEDULE["schedule"].update(update_masks_during_sharpen=False, epochs_sparsify=2
 SCHEDULE["data"].update(template_grid=3, normalize=True)
 SCHEDULE["optimizer"] = {"lr_model": 1e-3, "weight_decay": 0.01}
 
-CONFIGS = {"micro": MICRO, "resnet": RESNET, "guard": GUARD, "schedule": SCHEDULE}
+# a validation split of 99 images: three whole groups of a no-grad forward
+# (32 images each) and 3 more, so ``evaluate`` and ``eval`` run grouped
+# forwards, with the short last group that BLAS may round differently
+GROUPED = json.loads(json.dumps(MICRO))
+GROUPED["data"]["val_per_class"] = 33
+GROUPED["seed"] = 2
+
+CONFIGS = {"micro": MICRO, "resnet": RESNET, "guard": GUARD, "schedule": SCHEDULE,
+           "grouped": GROUPED}
 
 # (name of the stdout file, command line); paths are relative to the run's
 # working directory, so the stdout of both trees names the same paths
