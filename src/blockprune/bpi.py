@@ -2,8 +2,8 @@
 
 Every block gets its own pair of lightweight classifiers: a linear head on
 the classification token and a patch head on the token grid. Both are
-evaluated on the feature map entering and leaving the block; the drop in
-cross-entropy between the two evaluations is the block's measured benefit
+evaluated on the residual stream entering and leaving the block; the drop
+in cross-entropy between the two evaluations is the block's measured benefit
 (bp_class / bp_patch). Heads train on the block outputs only, and only
 through detached features, so no gradient ever reaches the backbone.
 ``BpiHeads.step`` backpropagates each block's head loss as soon as it
@@ -95,26 +95,27 @@ class BpiHeads:
     def step(self, trace, labels):
         """Evaluate benefit of every block and train the heads' gradients.
 
+        ``trace`` holds a forward's ``num_blocks + 1`` residual-stream states.
         Returns (bp_class, bp_patch, loss) where the bp arrays hold the
-        cross-entropy improvement from block input to block output under the
-        same head, and loss is the sum of per-head losses on the block
-        outputs (what the head optimizer minimizes), a value without a graph:
-        while the tape records, each block's term is backpropagated before the
-        next block is evaluated, so one probe graph is alive at a time.
+        cross-entropy improvement from block i's input, state i, to its
+        output, state i + 1, under the same head, and loss is the sum of
+        per-head losses on the block outputs (what the head optimizer
+        minimizes), a value without a graph: while the tape records, each
+        block's term is backpropagated before the next block is evaluated, so
+        one probe graph is alive at a time.
         """
-        if len(trace) != self.config.num_blocks:
-            raise ValueError("trace length does not match block count")
         b = self.config.num_blocks
+        if len(trace) != b + 1:
+            raise ValueError("trace length does not match block count + 1")
         bp_class = np.zeros(b)
         bp_patch = np.zeros(b)
         loss = None
-        for rec in trace:
-            i = rec.index
+        for i, (before, after) in enumerate(zip(trace, trace[1:])):
             with ag.no_grad():
-                before_c = ag.softmax_cross_entropy(self._class_logits(i, rec.before), labels)
-                before_p = ag.softmax_cross_entropy(self._patch_logits(i, rec.before), labels)
-            after_c = ag.softmax_cross_entropy(self._class_logits(i, rec.after), labels)
-            after_p = ag.softmax_cross_entropy(self._patch_logits(i, rec.after), labels)
+                before_c = ag.softmax_cross_entropy(self._class_logits(i, before), labels)
+                before_p = ag.softmax_cross_entropy(self._patch_logits(i, before), labels)
+            after_c = ag.softmax_cross_entropy(self._class_logits(i, after), labels)
+            after_p = ag.softmax_cross_entropy(self._patch_logits(i, after), labels)
             bp_class[i] = float(before_c.data) - float(after_c.data)
             bp_patch[i] = float(before_p.data) - float(after_p.data)
             term = ag.add(after_c, after_p)

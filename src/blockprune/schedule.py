@@ -82,21 +82,14 @@ class PruneSchedule:
 
 
 def evaluate(model, dataset, masks=None):
-    """Classification accuracy and mean loss over a dataset, in batches of 256."""
-    correct, total, loss_sum = 0, 0, 0.0
+    """Classification accuracy and mean loss over a dataset, from one no-grad
+    forward of all its images, which the trunk runs ``GROUP_IMAGES`` at a time."""
+    x = Tensor(dataset.images)
     with ag.no_grad():
-        for images, labels in batch_iter(dataset, 256, seed=0, epoch=0):
-            x = Tensor(images)
-            if masks is not None:
-                logits, _ = model.forward(x, masks, collect_trace=False)
-            else:
-                logits = model.forward(x)
-            loss = ag.softmax_cross_entropy(logits, labels)
-            pred = logits.data.argmax(axis=1)
-            correct += int((pred == labels).sum())
-            total += len(labels)
-            loss_sum += float(loss.data) * len(labels)
-    return correct / max(total, 1), loss_sum / max(total, 1)
+        logits = (model.forward(x) if masks is None
+                  else model.forward(x, masks, collect_trace=False)[0])
+        loss = ag.softmax_cross_entropy(logits, dataset.labels)
+    return float((logits.data.argmax(axis=1) == dataset.labels).mean()), float(loss.data)
 
 
 class MetricsWriter:
@@ -175,14 +168,18 @@ class PruningRun:
     def _check_feasible(self):
         """The schedule's keep target must be at most 1 and reach both the
         allocator's keep floor and the parameter share the per-mask guard
-        minimums keep."""
-        p, target = self.cfg.pruning, self.schedule.keep_target
+        minimums keep; below 1, some phase must update the masks."""
+        p, s, target = self.cfg.pruning, self.schedule, self.schedule.keep_target
         guard_share = sum(g.params_of_counts(guard_minimums(g.sizes, p.guard_frac))
                           for g in self.geoms) / sum(g.total_params for g in self.geoms)
         if not max(p.keep_floor, guard_share) <= target <= 1:
             raise BudgetInfeasibleError(
                 f"keep target {target} is above 1, or below the keep floor "
                 f"{p.keep_floor} or the guard floor ({guard_share:.4f} of parameters)")
+        if target < 1 and self.last_update_step == s.epochs_warmup * self.steps_per_epoch:
+            raise BudgetInfeasibleError(f"keep target {target} is below 1, but no phase updates "
+                                        "the masks: no sparsify epoch, and no sharpen epoch "
+                                        "with update_masks_during_sharpen")
         if len(self.train_ds) == 0:
             raise ValueError("empty training dataset")
 
@@ -263,23 +260,23 @@ class PruningRun:
 
     def _epochs(self, epochs, model, masks, optimizers, step, after_step=None, acc=None):
         """Each epoch in ``epochs``: train ``model`` on its batches, evaluate
-        it and write one metrics row. Returns the last validation accuracy,
-        or ``acc`` when ``epochs`` is empty."""
+        it and write one metrics row. Returns the last validation accuracy or,
+        when ``epochs`` is empty, ``acc`` if given, else a fresh evaluation."""
         for epoch in epochs:
             phase = self.schedule.phase_of(epoch)
             loss = train_epoch(self._batches(epoch), optimizers, step, self._where,
                                after_step and (lambda: after_step(phase)))
             acc, _ = evaluate(model, self.val_ds, masks=masks)
             self.metrics.epoch(epoch, phase, loss, acc, self.kappa_global(), self.sharpness)
-        return acc
+        return evaluate(model, self.val_ds, masks=masks)[0] if acc is None else acc
 
     def run(self):
         """Execute all four phases; returns (compact model, summary dict)."""
         started = time.time()
         s, opt_cfg = self.schedule, self.cfg.optimizer
-        self._epochs(range(s.pruning_epochs), self.model, self.masks,
-                     [self.model_opt, self.heads.optimizer], self._train_step, self._after_step)
-        masked_acc, _ = evaluate(self.model, self.val_ds, masks=self.masks)
+        masked_acc = self._epochs(range(s.pruning_epochs), self.model, self.masks,
+                                  [self.model_opt, self.heads.optimizer], self._train_step,
+                                  self._after_step)
         compact = CompactVit.from_masked(self.model, self.masks)
         compact_acc, _ = evaluate(compact, self.val_ds)
         lr = opt_cfg.lr_model if opt_cfg.lr_finetune is None else opt_cfg.lr_finetune

@@ -6,23 +6,25 @@ channels or the MLP hidden layer), and writes back through an output mask.
 Block i (0-based) is Attention for even i, MLP for odd i, so 1-based block
 indices put Attention on odd positions.
 
-Both models share one trunk (``_Trunk``): the patch embedding, class token
-and position embedding before the blocks, the one attention/MLP block body
-(``_Trunk._block``), the readout (final layernorm, class token, head) after
-them, and the one loop that runs them (``_Trunk.run``) on the block weights
-a forward prepares once. With the tape off and no trace, the loop runs
+Both models share one trunk (``_Trunk``), which pruning never narrows: the
+patch embedding, class token and position embedding before the blocks, the
+one attention/MLP block body (``_Trunk._block``), the readout (final
+layernorm, class token, head) after them, and the one loop that runs them
+(``_Trunk.run``) on the block weights a forward prepares once. Its trace is
+the residual stream: the ``num_blocks + 1`` detached states before block 0
+and after each block. With the tape off and no trace, it runs
 ``GROUP_IMAGES`` images at a time, so each op's output is still in L2 when
 the next op reads it; BLAS may round a short group's rows differently, in
-the last float32 bits. Attention runs as one autograd node, ``ag.attention``,
-from the q/k/v projection to the merged heads. Pruning never narrows the trunk. Both are built from one dict per block of
-its index lists, the full range until compaction narrows them, which give
-every tensor its shape. The two models differ only in the weights they hand
-the block body: every channel gate sits on the weights, not on the
-activations. The masked model folds its masks into the rows and columns of
-the projections, so a mask costs a weight-sized multiply whatever the batch;
-the compact model widens its narrowed output projection back to full width
-with zero columns, so its delta adds straight into the residual stream, and
-gathers only its kept input channels.
+the last float32 bits. Attention is one autograd node, ``ag.attention``.
+Both models are built from one dict per block of its index lists, the full
+range until compaction narrows them, which give every tensor its shape. The
+two models differ only in the weights they hand the block body: every
+channel gate sits on the weights, not on the activations. The masked model
+folds its masks into the rows and columns of the projections, so a mask
+costs a weight-sized multiply whatever the batch; the compact model widens
+its narrowed output projection back to full width with zero columns, so its
+delta adds straight into the residual stream, and gathers only its kept
+input channels.
 """
 
 from __future__ import annotations
@@ -161,13 +163,6 @@ class MaskSet:
         return {k: np.flatnonzero(t.data >= 0.5) for k, t in self.blocks[i].items()}
 
 
-@dataclass
-class BlockRecord:
-    index: int
-    before: Tensor  # detached feature map entering the block
-    after: Tensor   # detached feature map after the residual add
-
-
 def inner_groups(block_type, heads):
     """(g1, g2): a block's first projection has g1 groups of its inner
     channels as outputs and its second projection g2 groups as inputs. An
@@ -280,16 +275,19 @@ class _Trunk:
         """Logits of ``images`` through the blocks, block i with the weights
         and input read ``prepared[i]`` as ``_block`` takes them. With the tape
         off and no ``trace`` list, the images run ``GROUP_IMAGES`` at a time;
-        else as one group, each block's ``BlockRecord`` put on ``trace``."""
+        else as one group, each residual-stream state put detached on
+        ``trace``: the embedding, then the stream after each block."""
         n, g = images.shape[0], GROUP_IMAGES
         groups = ([images] if ag.tape.enabled or trace is not None or n <= g
                   else [Tensor(images.data[lo:lo + g]) for lo in range(0, n, g)])
         logits = []
         for x in map(self.embed, groups):
-            for i, (b, (weights, read)) in enumerate(zip(self.blocks, prepared)):
-                before, x = x, ag.add(x, self._block(x, b["type"], weights, read))
+            if trace is not None:
+                trace.append(x.detach())
+            for b, (weights, read) in zip(self.blocks, prepared):
+                x = ag.add(x, self._block(x, b["type"], weights, read))
                 if trace is not None:
-                    trace.append(BlockRecord(i, before.detach(), x.detach()))
+                    trace.append(x.detach())
             logits.append(self.readout(x))
         return ag.concat(logits, axis=0) if len(logits) > 1 else logits[0]
 
@@ -395,7 +393,7 @@ class MaskedVit(_Trunk):
         return [ln_g, ln_b, w1, b1, ag.mul(w2, m_out), ag.mul(b2, m_out)]
 
     def forward(self, images, masks: MaskSet, collect_trace=True):
-        """Masked forward pass; returns (logits, per-block trace)."""
+        """Masked forward pass; returns (logits, residual-stream trace)."""
         trace = []
         prepared = [(self.gated_weights(i, masks), lambda h: h)
                     for i in range(self.config.num_blocks)]

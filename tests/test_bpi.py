@@ -29,7 +29,7 @@ class TestHeads:
         x = rand_images(3)
         labels = np.array([0, 1, 2])
         _, trace = model.forward(x, masks)
-        assert np.allclose(trace[3].before.data, trace[3].after.data)
+        assert np.allclose(trace[3].data, trace[4].data)
         bp_c, bp_p, _ = heads.step(trace, labels)
         assert bp_c[3] == 0.0
         assert bp_p[3] == 0.0
@@ -41,13 +41,13 @@ class TestHeads:
         labels = np.array([0, 1, 2, 0])
         _, trace = model.forward(x, masks)
         bp_c, _, _ = heads.step(trace, labels)
-        for rec in trace:
+        for i in range(TINY.num_blocks):
             with ag.no_grad():
                 before = float(ag.softmax_cross_entropy(
-                    heads._class_logits(rec.index, rec.before), labels).data)
+                    heads._class_logits(i, trace[i]), labels).data)
                 after = float(ag.softmax_cross_entropy(
-                    heads._class_logits(rec.index, rec.after), labels).data)
-            assert (bp_c[rec.index] > 0) == (after < before)
+                    heads._class_logits(i, trace[i + 1]), labels).data)
+            assert (bp_c[i] > 0) == (after < before)
 
     def test_same_head_evaluates_both_sides(self):
         model, masks = tiny_model()
@@ -56,13 +56,11 @@ class TestHeads:
         _, trace = model.forward(x, masks)
         # evaluating the same features on both sides must give benefit 0 for
         # every block: the head pair shares parameters across the two calls
-        for rec in trace:
-            rec_equal = type(rec)(rec.index, rec.before, rec.before)
-            bp_c, bp_p, _ = heads.step(
-                [rec_equal if r.index == rec.index else r for r in trace],
-                np.array([0, 1]))
-            assert bp_c[rec.index] == 0.0
-            assert bp_p[rec.index] == 0.0
+        for i in range(TINY.num_blocks):
+            bp_c, bp_p, _ = heads.step(trace[:i + 1] + trace[i:i + 1] + trace[i + 2:],
+                                       np.array([0, 1]))
+            assert bp_c[i] == 0.0
+            assert bp_p[i] == 0.0
 
     def test_stop_gradient_isolation(self):
         model, masks = tiny_model()
@@ -97,9 +95,14 @@ class TestHeads:
         assert np.allclose(task_w.grad, joint, rtol=1e-12)
 
     def test_trace_length_checked(self):
-        heads = BpiHeads(TINY, patch_head="pooled-linear")
-        with pytest.raises(ValueError):
-            heads.step([], np.array([0]))
+        model, masks = tiny_model()
+        heads = BpiHeads(TINY, patch_head="pooled-linear", dtype=np.float64)
+        _, trace = model.forward(rand_images(1), masks)
+        heads.step(trace, np.array([0]))
+        # one state per block is one too few: block i needs states i and i + 1
+        for short in ([], trace[:-1], trace[1:]):
+            with pytest.raises(ValueError, match="block count"):
+                heads.step(short, np.array([0]))
 
     def test_unknown_patch_head(self):
         with pytest.raises(ValueError):
@@ -137,10 +140,10 @@ class TestStepBackward:
         for p in heads.parameters():
             p.grad = None
         joint = None
-        for rec in trace:
+        for i, after in enumerate(trace[1:]):
             term = ag.add(
-                ag.softmax_cross_entropy(heads._class_logits(rec.index, rec.after), labels),
-                ag.softmax_cross_entropy(heads._patch_logits(rec.index, rec.after), labels))
+                ag.softmax_cross_entropy(heads._class_logits(i, after), labels),
+                ag.softmax_cross_entropy(heads._patch_logits(i, after), labels))
             joint = term if joint is None else ag.add(joint, term)
         ag.backward(joint)
         assert loss.data.tobytes() == joint.data.tobytes()

@@ -12,7 +12,7 @@ from blockprune.bpi import BpiHeads
 from blockprune.checkpoint import MAGIC, load_compact, load_masked, save_compact, save_masked
 from blockprune.config import FLAGS, config_from_dict, load_config
 from blockprune.data import normalize_images
-from blockprune.errors import ConfigError, DataFormatError, NumericError
+from blockprune.errors import BudgetInfeasibleError, ConfigError, DataFormatError, NumericError
 from blockprune.masking import REF_MASK_VALUE
 from blockprune.schedule import MetricsWriter
 from blockprune.vit import CompactVit, MaskSet, MaskedVit, VitConfig
@@ -688,6 +688,19 @@ class TestCommands:
             ConfigError.exit_code
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and key in err[0]
+
+    @pytest.mark.parametrize("schedule", [
+        {"epochs_sparsify": 0, "epochs_sharpen": 0},
+        {"epochs_sparsify": 0, "update_masks_during_sharpen": False}])
+    def test_schedule_without_mask_updates_exits_3(self, tmp_path, capsys, schedule):
+        # no phase would update the masks, so keep 0.6 could never be reached
+        path = micro_config_file(tmp_path, out=str(tmp_path / "run"), schedule=schedule)
+        capsys.readouterr()
+        assert cli.main(["prune", "--config", path]) == BudgetInfeasibleError.exit_code == 3
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and "no phase updates the masks" in err[0]
+        assert "pruning done" not in captured.out
 
     def test_out_under_a_file_exits_5(self, tmp_path, capsys):
         (tmp_path / "file").write_text("")

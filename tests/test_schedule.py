@@ -1,17 +1,22 @@
+import csv
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from blockprune import schedule
+from blockprune import autograd as ag
+from blockprune import schedule, vit
+from blockprune.autograd import Tensor
 from blockprune.bpi import BpiHeads
 from blockprune.budget import allocate
 from blockprune.config import config_from_dict
-from blockprune.data import SyntheticSpec, generate_synthetic
+from blockprune.data import Dataset, SyntheticSpec, batch_iter, generate_synthetic
 from blockprune.errors import BudgetInfeasibleError, NumericError
 from blockprune.schedule import (FINETUNE, SHARPEN, SPARSIFY, WARMUP,
                                  MetricsWriter, PruneSchedule, PruningRun,
                                  intermediate_target, sharpness_ramp, train_dense,
                                  write_csv, write_json)
-from blockprune.vit import CompactVit, MaskSet, MaskedVit
+from blockprune.vit import GROUP_IMAGES, CompactVit, MaskSet, MaskedVit, VitConfig
 
 
 class TestRamps:
@@ -188,6 +193,41 @@ class TestPruningRun:
         quantum = max(3 * g.heads * g.sizes[g.inner_kind] + 1 for g in run.geoms)
         assert abs(summary["params_remaining"] - 0.5 * summary["params_total"]) <= quantum
 
+    @pytest.mark.parametrize("sharpen,sharpen_updates", [(0, True), (1, False)])
+    def test_schedule_without_mask_updates_rejected(self, sharpen, sharpen_updates):
+        # no sparsify epoch and no sharpen epoch that updates masks: the run
+        # would end at keep 1 whatever its target
+        cfg, model, masks, heads, _, train, val = micro_setup(sparsify=0, sharpen=sharpen)
+        cfg.schedule.update_masks_during_sharpen = sharpen_updates
+        sched = PruneSchedule(1, 0, sharpen, 1, 0, 0.5)
+        with pytest.raises(BudgetInfeasibleError, match="no phase updates the masks"):
+            PruningRun(model, masks, heads, sched, train, val, cfg)
+        # at keep 1 there is nothing to prune
+        sched.keep_target = 1.0
+        _, summary = PruningRun(model, masks, heads, sched, train, val, cfg).run()
+        assert summary["keep_ratio_achieved"] == 1.0
+
+    @pytest.mark.parametrize("warm,sparsify,sharpen,keep", [(1, 2, 2, 0.5), (0, 0, 0, 1.0)])
+    def test_one_evaluation_per_epoch_and_one_of_the_compact_model(
+            self, tmp_path, monkeypatch, warm, sparsify, sharpen, keep):
+        cfg, model, masks, heads, sched, train, val = micro_setup(
+            keep=keep, warm=warm, sparsify=sparsify, sharpen=sharpen, finetune=2)
+        evaluated, evaluate = [], schedule.evaluate
+        monkeypatch.setattr(schedule, "evaluate",
+                            lambda m, *args, **kw: evaluated.append(m) or evaluate(m, *args, **kw))
+        metrics = MetricsWriter(tmp_path)
+        compact, summary = PruningRun(model, masks, heads, sched, train, val, cfg, metrics).run()
+        # the masked model is evaluated once per pruning epoch, or once when
+        # there is none; the last pruning epoch's evaluation is val_acc_masked
+        n = sched.pruning_epochs
+        assert evaluated == [model] * max(n, 1) + [compact] * (1 + sched.epochs_finetune)
+        assert summary["val_acc_masked"] == evaluate(model, val, masks)[0]
+        metrics.flush()
+        rows = list(csv.DictReader((tmp_path / "metrics.csv").read_text().splitlines()))
+        assert [r["phase"] for r in rows].count(FINETUNE) == 2 and len(rows) == n + 2
+        if n:
+            assert rows[n - 1]["acc"] == f"{summary['val_acc_masked']:.6f}"
+
     def test_stop_gradient_enforced_every_step(self):
         cfg, model, masks, heads, sched, train, val = micro_setup(finetune=0)
         run = PruningRun(model, masks, heads, sched, train, val, cfg,
@@ -356,6 +396,64 @@ class TestDenseTraining:
         train_dense(model, train, val, cfg, epochs=6, metrics=metrics)
         losses = [float(r["loss"]) for r in metrics.epoch_rows]
         assert losses[-1] < losses[0]
+
+
+def batched_evaluate(model, dataset, masks=None):
+    """``evaluate`` as it was: shuffled batches of 256 and running sums."""
+    correct, total, loss_sum = 0, 0, 0.0
+    with ag.no_grad():
+        for images, labels in batch_iter(dataset, 256, seed=0, epoch=0):
+            x = Tensor(images)
+            logits = (model.forward(x) if masks is None
+                      else model.forward(x, masks, collect_trace=False)[0])
+            correct += int((logits.data.argmax(axis=1) == labels).sum())
+            total += len(labels)
+            loss_sum += float(ag.softmax_cross_entropy(logits, labels).data) * len(labels)
+    return correct / total, loss_sum / total
+
+
+def random_split(n, config, seed=0):
+    rng = np.random.default_rng(seed)
+    images = rng.uniform(size=(n, config.image_size, config.image_size, config.channels))
+    return Dataset(images.astype(np.float32), rng.integers(0, config.num_classes, n),
+                   config.num_classes)
+
+
+class TestEvaluate:
+    def test_matches_the_batched_evaluation(self):
+        # 8 whole groups and a short one; the batched loop ran one batch of
+        # 256 shuffled images and one of 3
+        _, model, masks, *_ = micro_setup()
+        rng = np.random.default_rng(5)
+        for i in range(model.config.num_blocks):
+            masks.set_block(i, {kind: rng.uniform(0.2, 1.0, size)
+                                for kind, size in model.config.mask_sizes(i).items()})
+        val = random_split(8 * GROUP_IMAGES + 3, model.config)
+        for args in ((model, val, masks), (CompactVit.from_masked(model, masks), val)):
+            acc, loss = schedule.evaluate(*args)
+            ref_acc, ref_loss = batched_evaluate(*args)
+            assert 0 < acc < 1 and acc == ref_acc
+            assert loss == pytest.approx(ref_loss, rel=1e-6)
+
+    def test_peak_memory_follows_the_group(self, monkeypatch):
+        # the trunk's groups, not the split, bound the forward's memory
+        cfg = VitConfig(image_size=16, patch_size=4, embed_dim=32, heads=2, depth=1,
+                        mlp_ratio=4.0, num_classes=3, channels=1)
+        model, masks = MaskedVit(cfg, seed=0), MaskSet(cfg)
+        splits = {n: random_split(n, cfg) for n in (GROUP_IMAGES + 3, 8 * GROUP_IMAGES + 3)}
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                schedule.evaluate(model, splits[n], masks)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small = peak(GROUP_IMAGES + 3)
+        assert peak(8 * GROUP_IMAGES + 3) <= 1.5 * small
+        monkeypatch.setattr(vit, "GROUP_IMAGES", 8 * GROUP_IMAGES + 3)
+        assert peak(8 * GROUP_IMAGES + 3) > 4 * small
 
 
 class TestRunFiles:

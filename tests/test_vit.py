@@ -102,16 +102,26 @@ class TestMaskedForward:
             masks.set_block(i, {"out": np.full(TINY.embed_dim, 0.5)})
         _, trace_half = model.forward(x, masks)
         # first block sees identical input, its residual delta must halve
-        d_full = trace_full[0].after.data - trace_full[0].before.data
-        d_half = trace_half[0].after.data - trace_half[0].before.data
+        d_full = trace_full[1].data - trace_full[0].data
+        d_half = trace_half[1].data - trace_half[0].data
         assert np.allclose(d_half, 0.5 * d_full, rtol=1e-10)
 
-    def test_residual_identity(self):
+    def test_trace_is_the_residual_stream(self):
         model, masks = tiny_model()
+        rng = np.random.default_rng(3)
+        for i in range(TINY.num_blocks):
+            masks.set_block(i, {kind: rng.uniform(0.1, 1.0, size)
+                                for kind, size in TINY.mask_sizes(i).items()})
         x = rand_images(2)
         _, trace = model.forward(x, masks)
-        for a, b in zip(trace[:-1], trace[1:]):
-            assert np.array_equal(a.after.data, b.before.data)
+        assert len(trace) == TINY.num_blocks + 1
+        assert np.array_equal(trace[0].data, model.embed(x).data)
+        assert not any(state.requires_grad for state in trace)
+        # state i + 1 is state i plus block i's residual delta
+        for i, (before, after) in enumerate(zip(trace, trace[1:])):
+            delta = model._block(before, TINY.block_type(i), model.gated_weights(i, masks),
+                                 lambda h: h)
+            assert np.array_equal(after.data, before.data + delta.data)
 
     def test_wrong_image_size(self):
         for kind in ("masked", "compact"):
@@ -428,10 +438,10 @@ class TestGroupedForward:
         with ag.no_grad():
             logits, trace = model.forward(rand_images(n, dtype=np.float32), masks)
         assert sizes == [n] and logits.shape == (n, TINY.num_classes)
-        assert [r.index for r in trace] == list(range(TINY.num_blocks))
+        assert len(trace) == TINY.num_blocks + 1
         t = TINY.num_patches + 1
-        for r in trace:
-            assert r.before.shape == r.after.shape == (n, t, TINY.embed_dim)
+        for state in trace:
+            assert state.shape == (n, t, TINY.embed_dim)
 
     def test_nograd_peak_memory_follows_the_group(self, monkeypatch):
         # 17 tokens of width 32: a group's activations, not the weights,

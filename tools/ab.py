@@ -12,8 +12,8 @@ For every end-to-end metric of ``BENCHMARK.json`` it prints the parent's and
 the change's median, the median of the per-pair ratios change / parent with
 a distribution-free interval for it (``median_interval``; none below 6
 pairs), and the pairs the change won, in the metric's ``better`` direction.
-It writes every value, both git shas, both checkout paths and their
-lengths, ``nproc``, ``OPENBLAS_NUM_THREADS`` and the numpy and Python
+It writes every value, both git shas, both checkouts' directory names and
+the lengths of their paths, ``nproc``, ``OPENBLAS_NUM_THREADS`` and the numpy and Python
 versions to ``--out``; a file that already holds the same two shas keeps
 its other workloads. It warns on stderr when the two paths differ in
 length, and exits 1 if any run's ``correct`` is false.
@@ -110,12 +110,12 @@ def print_summary(rows, n):
 
 
 def checkout_paths(parent, change):
-    """Both checkout paths and their lengths. Warns on stderr when the
-    lengths differ: ``prune-resnet32``'s ``peak_rss_mb`` was seen to follow
-    the length of the checkout's path (about 139 against 141 MB for a path
-    4 characters longer), so such an A/B can show a memory difference that
-    no code made."""
-    paths = {"parent": str(parent), "change": str(change),
+    """Both checkouts' directory names and the lengths of their paths, not
+    the paths, which name the host. Warns on stderr when the lengths differ:
+    ``prune-resnet32``'s ``peak_rss_mb`` was seen to follow the length of the
+    checkout's path (about 139 against 141 MB for a path 4 characters
+    longer), so such an A/B can show a memory difference that no code made."""
+    paths = {"parent": parent.name, "change": change.name,
              "parent_length": len(str(parent)), "change_length": len(str(change))}
     if paths["parent_length"] != paths["change_length"]:
         print(f"warning: the checkout paths differ in length ({paths['parent_length']} "
